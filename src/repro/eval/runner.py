@@ -129,8 +129,10 @@ def evaluate_policy_per_lane(venv, policy, episodes: int, seed: int = 0,
     Unlike :func:`evaluate_policy_vec` (which fans one environment's
     episode budget over homogeneous lanes), every lane here is its own
     evaluation subject: lane ``i`` runs episodes seeded ``seed + e``
-    against a fresh clone of ``policy``, honouring its own
-    ``lane_config(i)`` horizon and discount. Returns a list of
+    against a freshly reset lane of one clone of ``policy`` (one
+    :meth:`~repro.defenders.base.DefenderPolicy.act_batch` call per
+    round scores every lane), honouring its own ``lane_config(i)``
+    horizon and discount. Returns a list of
     ``(aggregate, per-episode metrics)`` pairs, one per lane; for
     deterministic policies each pair equals what
     :func:`evaluate_policy` returns on that lane's environment. This is
@@ -143,7 +145,7 @@ def evaluate_policy_per_lane(venv, policy, episodes: int, seed: int = 0,
     the run store read them off the record instead of re-deriving
     them. ``on_episode(lane, index, metrics)`` fires per completion.
     """
-    make_policy = _policy_factory(policy)
+    batch_policy = _policy_factory(policy)()
     n = venv.num_envs
     gammas, horizons = [], []
     for i in range(n):
@@ -155,7 +157,6 @@ def evaluate_policy_per_lane(venv, policy, episodes: int, seed: int = 0,
     results: list[list[EpisodeMetrics | None]] = [
         [None] * episodes for _ in range(n)
     ]
-    policies = [make_policy() for _ in range(n)]
     lanes: list[_Lane | None] = [None] * n
     next_ep = [0] * n
 
@@ -166,7 +167,7 @@ def evaluate_policy_per_lane(venv, policy, episodes: int, seed: int = 0,
             return
         next_ep[slot] = ep + 1
         obs = venv.reset_env(slot, seed=seed + ep)
-        policies[slot].reset(venv.policy_env(slot))
+        batch_policy.reset_lane(slot, venv.policy_env(slot))
         lanes[slot] = _Lane(ep, obs)
 
     was_auto_reset = venv.auto_reset
@@ -175,12 +176,12 @@ def evaluate_policy_per_lane(venv, policy, episodes: int, seed: int = 0,
         for slot in range(n):
             start(slot)
         while any(lane is not None for lane in lanes):
-            active = [lane is not None for lane in lanes]
-            actions = [
-                policies[i].act(lane.obs) if (lane := lanes[i]) else None
-                for i in range(n)
-            ]
-            step = venv.step(actions, mask=active)
+            slots = [i for i, lane in enumerate(lanes) if lane is not None]
+            actions: list = [None] * n
+            chosen = batch_policy.act_batch(slots, [lanes[i].obs for i in slots])
+            for i, action in zip(slots, chosen):
+                actions[i] = action
+            step = venv.step(actions, mask=[lane is not None for lane in lanes])
             for i, lane in enumerate(lanes):
                 if lane is None:
                     continue
@@ -206,9 +207,10 @@ def evaluate_policy_per_lane(venv, policy, episodes: int, seed: int = 0,
 
 def drive_vec_episodes(venv, episodes: int, seed: int = 0, *,
                        horizon: int,
-                       on_episode_start, act, on_step=None,
+                       on_episode_start, act_batch, on_step=None,
                        on_episode_end) -> None:
-    """Lockstep episode scheduler shared by evaluation and trace recording.
+    """Lockstep episode scheduler shared by evaluation, trace recording
+    and vectorised DQN training.
 
     Fans ``episodes`` seeded episodes over the lanes of ``venv``:
     episode ``ep`` always runs with seed ``seed + ep``, lanes pick up
@@ -220,7 +222,9 @@ def drive_vec_episodes(venv, episodes: int, seed: int = 0, *,
     * ``on_episode_start(slot, ep, obs)`` — fired after
       ``reset_env(slot, seed + ep)``; bind/reset per-episode agent
       state here (``venv.policy_env(slot)`` gives the lane view);
-    * ``act(slot, ep, obs) -> action`` — one action for ``venv.step``;
+    * ``act_batch(slots, observations) -> actions`` — called once per
+      round with every active lane (in lane order) and its latest
+      observation; returns one ``venv.step`` action per lane;
     * ``on_step(slot, ep, obs, reward, done, info)`` — every
       transition, with the post-step observation (optional);
     * ``on_episode_end(slot, ep, obs)`` — when the lane reports done
@@ -249,17 +253,17 @@ def drive_vec_episodes(venv, episodes: int, seed: int = 0, *,
     try:
         for slot in range(n):
             start(slot)
-        while any(ep is not None for ep in current):
-            active = [ep is not None for ep in current]
-            actions = [
-                act(i, ep, latest_obs[i]) if (ep := current[i]) is not None
-                else None
-                for i in range(n)
-            ]
-            step = venv.step(actions, mask=active)
-            for i, ep in enumerate(current):
-                if ep is None:
-                    continue
+        while True:
+            slots = [i for i, ep in enumerate(current) if ep is not None]
+            if not slots:
+                break
+            actions: list = [None] * n
+            chosen = act_batch(slots, [latest_obs[i] for i in slots])
+            for i, action in zip(slots, chosen):
+                actions[i] = action
+            step = venv.step(actions, mask=[ep is not None for ep in current])
+            for i in slots:
+                ep = current[i]
                 latest_obs[i] = step.observations[i]
                 info = step.infos[i]
                 if on_step is not None:
@@ -276,30 +280,29 @@ def evaluate_policy_vec(venv, policy, episodes: int, seed: int = 0,
                         max_steps: int | None = None, on_episode=None):
     """Batched :func:`evaluate_policy`: fan episodes over a VectorEnv.
 
-    Episode ``i`` runs with seed ``seed + i`` against its own clone of
-    ``policy`` (or a fresh instance, when ``policy`` is a zero-argument
-    factory), so for deterministic policies the (aggregate, per-episode)
-    result matches the single-env path exactly. Lanes are stepped in
-    lockstep via :func:`drive_vec_episodes`; each picks up the next
-    pending episode as it finishes. ``on_episode(index, metrics)``
-    fires as episodes complete (in completion order, not index order).
+    Episode ``i`` runs with seed ``seed + i`` against a freshly reset
+    lane of one clone of ``policy`` (or of a fresh instance, when
+    ``policy`` is a zero-argument factory), so for deterministic
+    policies the (aggregate, per-episode) result matches the single-env
+    path exactly. Lanes are stepped in lockstep via
+    :func:`drive_vec_episodes`, with one
+    :meth:`~repro.defenders.base.DefenderPolicy.act_batch` call per
+    round; each lane picks up the next pending episode as it finishes.
+    ``on_episode(index, metrics)`` fires as episodes complete (in
+    completion order, not index order).
     """
-    make_policy = _policy_factory(policy)
+    batch_policy = _policy_factory(policy)()
     n = venv.num_envs
     gamma = venv.config.reward.gamma
     tmax = venv.config.tmax
     horizon = tmax if max_steps is None else min(max_steps, tmax)
 
     results: list[EpisodeMetrics | None] = [None] * episodes
-    policies = [make_policy() for _ in range(n)]
     lanes: list[_Lane | None] = [None] * n
 
     def on_episode_start(slot: int, ep: int, obs) -> None:
-        policies[slot].reset(venv.policy_env(slot))
+        batch_policy.reset_lane(slot, venv.policy_env(slot))
         lanes[slot] = _Lane(ep, obs)
-
-    def act(slot: int, ep: int, obs):
-        return policies[slot].act(obs)
 
     def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
         lane = lanes[slot]
@@ -317,7 +320,8 @@ def evaluate_policy_vec(venv, policy, episodes: int, seed: int = 0,
             on_episode(ep, results[ep])
 
     drive_vec_episodes(venv, episodes, seed=seed, horizon=horizon,
-                       on_episode_start=on_episode_start, act=act,
+                       on_episode_start=on_episode_start,
+                       act_batch=batch_policy.act_batch,
                        on_step=on_step, on_episode_end=on_episode_end)
 
     assert all(r is not None for r in results)

@@ -46,6 +46,26 @@ class MultiHeadSelfAttention(Module):
             result = result.reshape(tokens, self.d_model)
         return result
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Graph-free :meth:`forward` on (B, T, D) arrays, bit for bit.
+
+        Heads are scored one at a time, with an in-place softmax, so
+        only one (B, T, T) score matrix is alive at once.
+        """
+        batch, tokens, _ = x.shape
+        qkv = self.qkv.infer(x).reshape(batch, tokens, 3, self.n_heads, self.d_head)
+        qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, B, H, T, dh) view
+        scale = 1.0 / math.sqrt(self.d_head)
+        merged = np.empty((batch, tokens, self.n_heads, self.d_head))
+        for h in range(self.n_heads):
+            scores = qkv[0, :, h] @ qkv[1, :, h].swapaxes(-1, -2)
+            scores *= scale
+            scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=-1, keepdims=True)
+            merged[:, :, h] = scores @ qkv[2, :, h]
+        return self.out.infer(merged.reshape(batch, tokens, self.d_model))
+
 
 class AttentionBlock(Module):
     """Pre-norm transformer block: attention + feed-forward residuals."""
@@ -62,3 +82,9 @@ class AttentionBlock(Module):
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))
         return x + self.ff(self.ln2(x))
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        x = self.attn.infer(self.ln1.infer(x)) + x
+        out = self.ff.infer(self.ln2.infer(x))
+        out += x
+        return out

@@ -130,6 +130,37 @@ _ACTIVATIONS = {
 }
 
 
+def _leaky_relu_(x: np.ndarray, alpha: float = 0.01) -> np.ndarray:
+    # for 0 < alpha < 1 the larger of x and alpha*x is x * (1.0 or alpha),
+    # exactly what Tensor.leaky_relu computes
+    return np.maximum(x, x * alpha, out=x)
+
+
+def _relu_(x: np.ndarray) -> np.ndarray:
+    x *= x > 0
+    return x
+
+
+def _sigmoid_(x: np.ndarray) -> np.ndarray:
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.divide(1.0, x, out=x)
+    return x
+
+
+#: in-place ndarray twins of :data:`_ACTIVATIONS` for graph-free
+#: inference; each performs the Tensor op's exact float operations
+_INFER_ACTIVATIONS = {
+    "relu": _relu_,
+    "leaky_relu": _leaky_relu_,
+    "tanh": lambda x: np.tanh(x, out=x),
+    "sigmoid": _sigmoid_,
+    "identity": lambda x: x,
+    None: lambda x: x,
+}
+
+
 def activation(name):
     try:
         return _ACTIVATIONS[name]
@@ -153,6 +184,12 @@ class Linear(Module):
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
+        return out
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out += self.bias.data
         return out
 
 
@@ -179,11 +216,22 @@ class MLP(Module):
         ]
         self._act = activation(act)
         self._final_act = activation(final_act)
+        self._act_name = act
+        self._final_act_name = final_act
 
     def forward(self, x: Tensor) -> Tensor:
         for i, linear in enumerate(self.linears):
             x = linear(x)
             x = self._act(x) if i < len(self.linears) - 1 else self._final_act(x)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        last = len(self.linears) - 1
+        hidden = _INFER_ACTIVATIONS[self._act_name]
+        final = _INFER_ACTIVATIONS[self._final_act_name]
+        for i, linear in enumerate(self.linears):
+            x = linear.infer(x)
+            x = hidden(x) if i < last else final(x)
         return x
 
 
@@ -199,3 +247,17 @@ class LayerNorm(Module):
         var = (centered * centered).mean(axis=-1, keepdims=True)
         normed = centered / (var + self.eps).sqrt()
         return normed * self.gamma + self.beta
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        scale = 1.0 / float(x.shape[-1])  # Tensor.mean's factor
+        mu = x.sum(axis=-1, keepdims=True)
+        mu *= scale
+        out = x - mu
+        var = (out * out).sum(axis=-1, keepdims=True)
+        var *= scale
+        var += self.eps
+        np.sqrt(var, out=var)
+        out /= var
+        out *= self.gamma.data
+        out += self.beta.data
+        return out

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from repro.nn.modules import Module, Parameter, activation
+from repro.nn.modules import MLP, Module, Parameter, activation
 from repro.nn.tensor import Tensor
 
 __all__ = ["NoisyLinear", "NoisyMLP"]
@@ -74,13 +74,23 @@ class NoisyLinear(Module):
             weight, bias = self.weight_mu, self.bias_mu
         return x @ weight + bias
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        if self.noise_enabled:
+            weight = self.weight_mu.data + self.weight_sigma.data * self._eps_w
+            bias = self.bias_mu.data + self.bias_sigma.data * self._eps_b
+        else:
+            weight, bias = self.weight_mu.data, self.bias_mu.data
+        out = x @ weight
+        out += bias
+        return out
+
     @property
     def mean_sigma(self) -> float:
         """Average |sigma| across weights; a learned-exploration gauge."""
         return float(np.abs(self.weight_sigma.data).mean())
 
 
-class NoisyMLP(Module):
+class NoisyMLP(MLP):
     """Feed-forward stack of :class:`NoisyLinear` layers.
 
     Drop-in replacement for :class:`repro.nn.MLP` in Q-network heads;
@@ -100,9 +110,5 @@ class NoisyMLP(Module):
         ]
         self._act = activation(act)
         self._final_act = activation(final_act)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for i, linear in enumerate(self.linears):
-            x = linear(x)
-            x = self._act(x) if i < len(self.linears) - 1 else self._final_act(x)
-        return x
+        self._act_name = act
+        self._final_act_name = final_act

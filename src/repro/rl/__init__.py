@@ -7,7 +7,12 @@ pretraining from expert demonstrations (appendix).
 """
 
 from repro.rl.features import ACSOFeaturizer, FeatureSet, RawHistoryEncoder, stack_features
-from repro.rl.qnetwork import AttentionQNetwork, ConvQNetwork, QNetConfig
+from repro.rl.qnetwork import (
+    AttentionQNetwork,
+    ConvQNetwork,
+    QNetConfig,
+    TopologyMismatchError,
+)
 from repro.rl.replay import (
     NStepAssembler,
     PrioritizedReplay,
@@ -36,6 +41,7 @@ __all__ = [
     "AttentionQNetwork",
     "ConvQNetwork",
     "QNetConfig",
+    "TopologyMismatchError",
     "SumTree",
     "PrioritizedReplay",
     "UniformReplay",

@@ -25,7 +25,8 @@ from repro.rl.replay import (
 )
 from repro.rl.schedules import ExponentialDecay, LinearSchedule
 from repro.rl.shaping import PotentialShaper
-from repro.sim.orchestrator import DefenderAction, DEFENDER_ACTION_SPECS
+from repro.sim.observations import Observation
+from repro.sim.orchestrator import ActionMaskIndex, DefenderAction
 from repro.sim.vec_env import BaseVectorEnv
 
 __all__ = ["DQNConfig", "DQNTrainer", "valid_action_mask"]
@@ -34,17 +35,18 @@ __all__ = ["DQNConfig", "DQNTrainer", "valid_action_mask"]
 def valid_action_mask(action_list: list[DefenderAction], obs) -> np.ndarray:
     """True for actions whose target is currently free (noop is always
     valid); launching an action on a busy target would be rejected by
-    the orchestrator and waste the decision step."""
-    mask = np.ones(len(action_list), dtype=bool)
-    for i, action in enumerate(action_list):
-        if action.is_noop:
-            continue
-        spec = DEFENDER_ACTION_SPECS[action.atype]
-        if spec.targets == "node":
-            mask[i] = not obs.node_busy[action.target]
-        elif spec.targets == "plc":
-            mask[i] = not obs.plc_busy[action.target]
-    return mask
+    the orchestrator and waste the decision step.
+
+    ``obs`` is one observation (returns ``(A,)``) or a sequence of them
+    (returns ``(B, A)``, one row per observation).
+    """
+    index = ActionMaskIndex.of(action_list)
+    if isinstance(obs, Observation):
+        node_busy, plc_busy = obs.node_busy, obs.plc_busy
+    else:
+        node_busy = np.stack([o.node_busy for o in obs])
+        plc_busy = np.stack([o.plc_busy for o in obs])
+    return index.masks(np.logical_not(node_busy), np.logical_not(plc_busy))
 
 
 @dataclass
@@ -95,7 +97,6 @@ class _VecLane:
     """Per-lane collection state for :meth:`DQNTrainer.train_vec`."""
 
     episode: int
-    obs: object
     features: FeatureSet
     nstep: NStepAssembler
     phi: float
@@ -289,7 +290,8 @@ class DQNTrainer:
         """Batched action selection: one forward pass for all lanes."""
         if self.config.noisy:
             self.qnet.reset_noise()
-        q = self.qnet.forward(*stack_features(features)).data
+        with no_grad():
+            q = self.qnet.forward(*stack_features(features)).data
         q = np.where(masks, q, -np.inf)
         greedy = q.argmax(axis=1)
         out = np.empty(len(features), dtype=np.int64)
@@ -307,10 +309,14 @@ class DQNTrainer:
 
         Episode ``i`` runs with seed ``seed + i``; lanes pick up the
         next pending episode as theirs finishes, so any ``episodes``
-        count works with any ``num_envs``. Update losses are shared
-        diagnostics: each gradient step's loss is credited to every
-        episode in flight when it happened.
+        count works with any ``num_envs`` (the lockstep scheduler is
+        :func:`~repro.eval.runner.drive_vec_episodes`). Each round masks
+        and scores every active lane in one call. Update losses are
+        shared diagnostics: each gradient step's loss is credited to
+        every episode in flight when it happened.
         """
+        from repro.eval.runner import drive_vec_episodes
+
         if not self.vec:
             raise RuntimeError("train_vec requires a VectorEnv")
         cfg = self.config
@@ -321,98 +327,79 @@ class DQNTrainer:
             self._featurizers = [self.featurizer] + [
                 copy.deepcopy(self.featurizer) for _ in range(n - 1)
             ]
-
         lanes: list[_VecLane | None] = [None] * n
-        next_ep = 0
+        epsilon = self.eps_schedule(self.total_steps)
 
-        def start(slot: int) -> None:
-            nonlocal next_ep
-            if next_ep >= episodes:
-                lanes[slot] = None
-                return
-            ep, next_ep = next_ep, next_ep + 1
-            obs = venv.reset_env(slot, seed=seed + ep)
+        def on_episode_start(slot: int, ep: int, obs) -> None:
             featurizer = self._featurizers[slot]
             featurizer.reset()
             lanes[slot] = _VecLane(
                 episode=ep,
-                obs=obs,
                 features=featurizer.update(obs),
                 nstep=NStepAssembler(cfg.n_step, self.gamma),
                 phi=self.shaper.potential_from_info(venv.reset_infos[slot]),
             )
 
-        was_auto_reset = venv.auto_reset
-        venv.auto_reset = False  # episode boundaries are scheduled here
-        epsilon = self.eps_schedule(self.total_steps)
-        try:
-            for slot in range(n):
-                start(slot)
-            while any(lane is not None for lane in lanes):
-                epsilon = self.eps_schedule(self.total_steps)
-                active = [i for i, lane in enumerate(lanes) if lane is not None]
-                masks = np.stack([
-                    valid_action_mask(self.qnet.action_list, lanes[i].obs)
-                    for i in active
-                ])
-                chosen = self.select_actions_vec(
-                    [lanes[i].features for i in active], masks, epsilon
-                )
-                actions: list = [None] * n
-                for idx, i in enumerate(active):
-                    lanes[i].action_idx = int(chosen[idx])
-                    actions[i] = self.qnet.action_list[lanes[i].action_idx]
-                step = venv.step(
-                    actions, mask=[lane is not None for lane in lanes]
-                )
+        def act_batch(slots: list[int], observations: list) -> list:
+            nonlocal epsilon
+            epsilon = self.eps_schedule(self.total_steps)
+            masks = valid_action_mask(self.qnet.action_list, observations)
+            chosen = self.select_actions_vec(
+                [lanes[i].features for i in slots], masks, epsilon
+            )
+            actions = []
+            for slot, idx in zip(slots, chosen.tolist()):
+                lanes[slot].action_idx = idx
+                actions.append(self.qnet.action_list[idx])
+            return actions
 
-                for i in active:
-                    lane = lanes[i]
-                    obs, reward = step.observations[i], float(step.rewards[i])
-                    info = step.infos[i]
-                    t = info["t"]
-                    done = bool(step.dones[i]) or t >= horizon
+        def on_step(slot: int, ep: int, obs, reward, env_done, info) -> None:
+            lane = lanes[slot]
+            reward = float(reward)
+            t = info["t"]
+            done = bool(env_done) or t >= horizon
 
-                    phi_next = self.shaper.potential_from_info(info)
-                    shaping = self.shaper.shape(lane.phi, phi_next, done=done)
-                    lane.phi = phi_next
-                    r_train = (
-                        reward + self.shaping_weight * shaping
-                    ) * self.reward_scale
+            phi_next = self.shaper.potential_from_info(info)
+            shaping = self.shaper.shape(lane.phi, phi_next, done=done)
+            lane.phi = phi_next
+            r_train = (reward + self.shaping_weight * shaping) * self.reward_scale
 
-                    lane.env_return += lane.discount * reward
-                    lane.discount *= self.gamma
-                    lane.shaped_return += r_train
-                    next_features = self._featurizers[i].update(obs)
-                    for transition in lane.nstep.push(
-                        lane.features, lane.action_idx, r_train,
-                        next_features, done
-                    ):
-                        self.replay.add(transition)
-                    lane.obs, lane.features = obs, next_features
-                    lane.steps = t
-                    lane.info = info
-                    self.total_steps += 1
+            lane.env_return += lane.discount * reward
+            lane.discount *= self.gamma
+            lane.shaped_return += r_train
+            next_features = self._featurizers[slot].update(obs)
+            for transition in lane.nstep.push(
+                lane.features, lane.action_idx, r_train, next_features, done
+            ):
+                self.replay.add(transition)
+            lane.features = next_features
+            lane.steps = t
+            lane.info = info
+            self.total_steps += 1
 
-                    if (
-                        len(self.replay) >= max(cfg.warmup, cfg.batch_size)
-                        and self.total_steps % cfg.update_every == 0
-                    ):
-                        loss = self.update()
-                        for other in lanes:
-                            if other is not None:
-                                other.losses.append(loss)
-                    if self.total_steps % cfg.target_update == 0:
-                        self.target.copy_from(self.qnet)
+            if (
+                len(self.replay) >= max(cfg.warmup, cfg.batch_size)
+                and self.total_steps % cfg.update_every == 0
+            ):
+                loss = self.update()
+                for other in lanes:
+                    if other is not None:
+                        other.losses.append(loss)
+            if self.total_steps % cfg.target_update == 0:
+                self.target.copy_from(self.qnet)
 
-                    if done:
-                        stats = lane.stats(epsilon)
-                        self.history.append(stats)
-                        if callback is not None:
-                            callback(stats)
-                        start(i)
-        finally:
-            venv.auto_reset = was_auto_reset
+        def on_episode_end(slot: int, ep: int, obs) -> None:
+            stats = lanes[slot].stats(epsilon)
+            lanes[slot] = None
+            self.history.append(stats)
+            if callback is not None:
+                callback(stats)
+
+        drive_vec_episodes(
+            venv, episodes, seed=seed, horizon=horizon,
+            on_episode_start=on_episode_start, act_batch=act_batch,
+            on_step=on_step, on_episode_end=on_episode_end,
+        )
         return self.history
 
     # ------------------------------------------------------------------

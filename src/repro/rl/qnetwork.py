@@ -30,6 +30,8 @@ from repro.nn import (
     Parameter,
     Tensor,
     concat,
+    grad_enabled,
+    no_grad,
 )
 from repro.rl.features import (
     GLOBAL_FEATURE_DIM,
@@ -42,11 +44,27 @@ from repro.sim.orchestrator import (
     HOST_ACTIONS,
     PLC_ACTIONS,
     SERVER_ACTIONS,
+    ActionList,
     DefenderAction,
     DefenderActionType,
 )
 
-__all__ = ["QNetConfig", "AttentionQNetwork", "ConvQNetwork"]
+__all__ = [
+    "QNetConfig",
+    "AttentionQNetwork",
+    "ConvQNetwork",
+    "TopologyMismatchError",
+    "INFERENCE_BLOCK_ROWS",
+]
+
+#: graph-free inference scores at most this many states per pass, which
+#: bounds the (rows, tokens, tokens) attention scores alive at once
+INFERENCE_BLOCK_ROWS = 8
+
+
+class TopologyMismatchError(RuntimeError):
+    """Lanes sharing one Q-network were reset on different topologies,
+    so one action list cannot score them all."""
 
 
 @dataclass(frozen=True)
@@ -120,20 +138,26 @@ class AttentionQNetwork(Module):
         self._n_nodes = 0
         self._n_plcs = 0
         self.action_list: list[DefenderAction] = []
+        #: the layout the action list was built for (see bind_topology)
+        self.topology_key: tuple | None = None
 
     # ------------------------------------------------------------------
     def bind_topology(self, topology: Topology) -> "AttentionQNetwork":
         """Attach a network topology; parameters are unchanged.
 
         The same trained weights can therefore be evaluated on networks
-        of different size (Section 4.4).
+        of different size (Section 4.4). Binding a topology with the
+        layout already bound -- node count, PLC count, host and server
+        ids, all the action list depends on -- changes nothing.
         """
-        self._host_ids = np.array(
-            [n.node_id for n in topology.nodes if not n.is_server], np.int64
-        )
-        self._server_ids = np.array(
-            [n.node_id for n in topology.nodes if n.is_server], np.int64
-        )
+        host_ids = tuple(n.node_id for n in topology.nodes if not n.is_server)
+        server_ids = tuple(n.node_id for n in topology.nodes if n.is_server)
+        key = (topology.n_nodes, topology.n_plcs, host_ids, server_ids)
+        if key == self.topology_key:
+            return self
+        self.topology_key = key
+        self._host_ids = np.array(host_ids, np.int64)
+        self._server_ids = np.array(server_ids, np.int64)
         self._n_nodes = topology.n_nodes
         self._n_plcs = topology.n_plcs
         actions: list[DefenderAction] = [DefenderAction(DefenderActionType.NOOP)]
@@ -143,12 +167,24 @@ class AttentionQNetwork(Module):
             actions.extend(DefenderAction(a, int(node_id)) for a in SERVER_ACTIONS)
         for plc_id in range(self._n_plcs):
             actions.extend(DefenderAction(a, plc_id) for a in PLC_ACTIONS)
-        self.action_list = actions
+        self.action_list = ActionList(actions)
         return self
 
     @property
     def n_actions(self) -> int:
         return len(self.action_list)
+
+    def check_lanes(self, lane_keys) -> None:
+        """Raise :class:`TopologyMismatchError` unless every lane's
+        ``topology_key`` (taken when the lane was reset) is the one bound
+        now: a lane reset on another layout re-bound this network under
+        the others."""
+        for key in lane_keys:
+            if key != self.topology_key:
+                raise TopologyMismatchError(
+                    "lanes sharing one Q-network were reset on different "
+                    "topologies; give each topology its own policy"
+                )
 
     def clone(self, seed: int = 0) -> "AttentionQNetwork":
         """Fresh network of the same class and config (target nets)."""
@@ -245,19 +281,77 @@ class AttentionQNetwork(Module):
         """(B,N,Fn), (B,M,Fp), (B,G) -> (B, n_actions) Q-values.
 
         Action layout: [noop, host menus (host order), server menus,
-        PLC menus], matching :attr:`action_list`.
+        PLC menus], matching :attr:`action_list`. Under
+        :func:`~repro.nn.no_grad` the pass builds no graph: the modules'
+        numpy ``infer`` kernels give the same values bit for bit.
         """
+        if not grad_enabled():
+            return Tensor(self._infer(node_feats, plc_feats, glob_feats))
         tokens, glob, batch = self._contextualize(node_feats, plc_feats, glob_feats)
         q = self._head_outputs(tokens, glob, batch)
         return self._soft_clip(q)
 
     def q_values(self, features: FeatureSet) -> np.ndarray:
         """Inference helper for a single step."""
-        from repro.nn import no_grad
-
         with no_grad():
             node, plc, glob = stack_features([features])
             return self.forward(node, plc, glob).data[0]
+
+    # ------------------------------------------------------------------
+    def _infer(self, node_feats, plc_feats, glob_feats) -> np.ndarray:
+        """Graph-free :meth:`forward`, :data:`INFERENCE_BLOCK_ROWS` rows
+        at a time (every row's values are independent of its block)."""
+        if self._n_nodes == 0:
+            raise RuntimeError("bind_topology() must be called before forward()")
+        node, plc, glob = (
+            x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+            for x in (node_feats, plc_feats, glob_feats)
+        )
+        batch = node.shape[0]
+        if batch <= INFERENCE_BLOCK_ROWS:
+            return self._infer_block(node, plc, glob)
+        q = np.empty((batch, self.n_actions))
+        for start in range(0, batch, INFERENCE_BLOCK_ROWS):
+            rows = slice(start, start + INFERENCE_BLOCK_ROWS)
+            q[rows] = self._infer_block(node[rows], plc[rows], glob[rows])
+        return q
+
+    def _infer_block(self, node, plc, glob) -> np.ndarray:
+        batch = node.shape[0]
+        d_model = self.config.d_model
+        tokens = np.concatenate(
+            [
+                self.node_encoder.infer(node),
+                self.plc_encoder.infer(plc),
+                np.broadcast_to(self.noop_seed.data, (batch, 1, d_model)),
+            ],
+            axis=1,
+        )
+        for block in self.blocks:
+            tokens = block.infer(tokens)
+
+        def head(module, ctx):
+            tiles = np.broadcast_to(
+                glob[:, None, :], (batch, ctx.shape[1], GLOBAL_FEATURE_DIM)
+            )
+            out = module.infer(np.concatenate([ctx, tiles], axis=-1))
+            return out.reshape(batch, out.shape[1] * out.shape[2])
+
+        plc_end = self._n_nodes + self._n_plcs
+        parts = [
+            head(self.noop_head, tokens[:, plc_end:, :]),
+            head(self.host_head, tokens[:, self._host_ids, :]),
+        ]
+        if len(self._server_ids):
+            parts.append(head(self.server_head, tokens[:, self._server_ids, :]))
+        if self._n_plcs:
+            parts.append(head(self.plc_head, tokens[:, self._n_nodes:plc_end, :]))
+        q = np.concatenate(parts, axis=1)
+        if self.config.final_tanh:  # _soft_clip
+            q *= 1.0 / self.config.q_scale
+            np.tanh(q, out=q)
+            q *= self.config.q_scale
+        return q
 
 
 @dataclass(frozen=True)

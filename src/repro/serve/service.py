@@ -367,22 +367,24 @@ class EvalService:
         job.status = "running"
         job.started_at = time.time()
         self.store.mark_running(job.id)
+        # each outcome is stored before the job shows it: a client that
+        # sees a terminal status then reads the store finds the same one
         try:
             metrics = self._execute_with_retries(job)
         except JobCancelled:
-            job.status = "cancelled"
             self.store.cancel_run(job.id)
+            job.status = "cancelled"
         except Exception as exc:
-            job.status = "error"
             job.error = f"{type(exc).__name__}: {exc}"
             traceback.print_exc()
             self.store.fail_run(job.id, job.error,
                                 faults=job.worker_faults)
+            job.status = "error"
         else:
-            job.status = "done"
             job.metrics = metrics
             self.store.finish_run(job.id, metrics,
                                   faults=job.worker_faults)
+            job.status = "done"
         finally:
             job.finished_at = time.time()
 

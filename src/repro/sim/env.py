@@ -17,10 +17,7 @@ import numpy as np
 from repro.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.observations import Observation
-from repro.sim.orchestrator import (
-    DEFENDER_ACTION_SPECS,
-    DefenderAction,
-)
+from repro.sim.orchestrator import ActionList, DefenderAction
 
 __all__ = ["InasimEnv"]
 
@@ -30,27 +27,10 @@ class InasimEnv:
                  record_truth: bool = True):
         self.config = config
         self.sim = Simulation(config, attacker, seed=seed, record_truth=record_truth)
-        self.action_list: list[DefenderAction] = list(self.sim.actions)
+        self.action_list: list[DefenderAction] = ActionList(self.sim.actions)
         self.action_index: dict[DefenderAction, int] = {
             a: i for i, a in enumerate(self.action_list)
         }
-        # index arrays for the vectorized action mask: positions in
-        # action_list that target a node / a PLC, and those targets
-        node_idx, node_tgt, plc_idx, plc_tgt = [], [], [], []
-        for i, action in enumerate(self.action_list):
-            if action.is_noop:
-                continue
-            targets = DEFENDER_ACTION_SPECS[action.atype].targets
-            if targets == "node":
-                node_idx.append(i)
-                node_tgt.append(action.target)
-            elif targets == "plc":
-                plc_idx.append(i)
-                plc_tgt.append(action.target)
-        self._mask_node_idx = np.array(node_idx, dtype=np.intp)
-        self._mask_node_tgt = np.array(node_tgt, dtype=np.intp)
-        self._mask_plc_idx = np.array(plc_idx, dtype=np.intp)
-        self._mask_plc_tgt = np.array(plc_tgt, dtype=np.intp)
 
     # ------------------------------------------------------------------
     @property
@@ -97,11 +77,9 @@ class InasimEnv:
         wastes the decision step.
         """
         state = self.sim.state
-        t = state.t
-        mask = np.ones(len(self.action_list), dtype=bool)
-        mask[self._mask_node_idx] = state.node_busy_until[self._mask_node_tgt] <= t
-        mask[self._mask_plc_idx] = state.plc_busy_until[self._mask_plc_tgt] <= t
-        return mask
+        return self.action_list.mask_index.masks(
+            state.node_busy_until <= state.t, state.plc_busy_until <= state.t
+        )
 
     def sample_action(self, rng) -> int:
         """Uniform random action index (exploration helper)."""

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
 
 from repro.net.nodes import Condition, NodeType
 from repro.net.topology import Topology
@@ -38,6 +40,8 @@ __all__ = [
     "SERVER_ACTIONS",
     "PLC_ACTIONS",
     "enumerate_actions",
+    "ActionMaskIndex",
+    "ActionList",
     "scan_detection_prob",
     "apply_mitigation",
 ]
@@ -141,6 +145,63 @@ def enumerate_actions(topology: Topology) -> list[DefenderAction]:
     for plc in topology.plcs:
         actions.extend(DefenderAction(a, plc.plc_id) for a in PLC_ACTIONS)
     return actions
+
+
+@dataclass(frozen=True)
+class ActionMaskIndex:
+    """Where an action list's node and PLC targets sit.
+
+    ``node_pos[k]`` is the position in the list of an action aimed at
+    node ``node_target[k]``; likewise for PLCs. Noop and untargeted
+    actions appear in neither, so they are always valid.
+    """
+
+    n_actions: int
+    node_pos: np.ndarray
+    node_target: np.ndarray
+    plc_pos: np.ndarray
+    plc_target: np.ndarray
+
+    @classmethod
+    def of(cls, action_list: Sequence[DefenderAction]) -> "ActionMaskIndex":
+        """The index an :class:`ActionList` carries, or a fresh one."""
+        if isinstance(action_list, ActionList):
+            return action_list.mask_index
+        return cls.build(action_list)
+
+    @classmethod
+    def build(cls, action_list: Sequence[DefenderAction]) -> "ActionMaskIndex":
+        node_pos, node_target, plc_pos, plc_target = [], [], [], []
+        for i, action in enumerate(action_list):
+            targets = DEFENDER_ACTION_SPECS[action.atype].targets
+            if targets == "node":
+                node_pos.append(i)
+                node_target.append(action.target)
+            elif targets == "plc":
+                plc_pos.append(i)
+                plc_target.append(action.target)
+        arrays = (np.array(v, dtype=np.intp)
+                  for v in (node_pos, node_target, plc_pos, plc_target))
+        return cls(len(action_list), *arrays)
+
+    def masks(self, node_free: np.ndarray, plc_free: np.ndarray) -> np.ndarray:
+        """Validity masks, shape ``(..., n_actions)``: an action is valid
+        when its target is free. ``node_free`` is ``(..., n_nodes)`` and
+        ``plc_free`` ``(..., n_plcs)`` with the same leading shape."""
+        out = np.ones(node_free.shape[:-1] + (self.n_actions,), dtype=bool)
+        out[..., self.node_pos] = node_free[..., self.node_target]
+        out[..., self.plc_pos] = plc_free[..., self.plc_target]
+        return out
+
+
+class ActionList(list):
+    """A defender action list that carries its :class:`ActionMaskIndex`,
+    built on construction. Treat it as immutable: build a new list
+    rather than mutating this one, or the index goes stale."""
+
+    def __init__(self, actions=()):
+        super().__init__(actions)
+        self.mask_index = ActionMaskIndex.build(self)
 
 
 def scan_detection_prob(

@@ -14,6 +14,7 @@ corrections can all be computed offline from the same log.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "LoggedEpisode",
     "StochasticQPolicy",
     "UniformRandomPolicy",
+    "decide_batch",
     "collect_logged_episodes",
 ]
 
@@ -98,12 +100,16 @@ class StochasticQPolicy:
         self.epsilon = epsilon
         self.rng = np.random.default_rng(seed)
         self.featurizer: ACSOFeaturizer | None = None
+        self._topology_key: tuple | None = None
 
     # ------------------------------------------------------------------
     def reset(self, env) -> None:
-        self.qnet.bind_topology(env.topology)
-        self.featurizer = ACSOFeaturizer(env.topology, self.tables)
+        topology = env.topology
+        self.qnet.bind_topology(topology)
+        if self.featurizer is None or self.featurizer.topology is not topology:
+            self.featurizer = ACSOFeaturizer(topology, self.tables)
         self.featurizer.reset()
+        self._topology_key = self.qnet.topology_key
 
     def action_probs(self, features: FeatureSet, mask: np.ndarray) -> np.ndarray:
         """Full action distribution at a (featurized) state.
@@ -145,27 +151,31 @@ class StochasticQPolicy:
             probs = (1.0 - self.epsilon) * probs + self.epsilon * uniform
         return probs
 
-    def decide(self, obs) -> tuple[int, float, FeatureSet, np.ndarray]:
-        """Online decision: (action index, its probability, features, mask)."""
-        features = self.featurizer.update(obs)
-        mask = valid_action_mask(self.qnet.action_list, obs)
-        probs = self.action_probs(features, mask)
+    def decide(self, obs, scored=None) -> tuple[int, float, FeatureSet, np.ndarray]:
+        """Online decision: (action index, its probability, features, mask).
+
+        ``scored`` is ``(features, q, mask)`` of this state when the
+        caller (:func:`decide_batch`) has featurized and scored it
+        already; otherwise this is the one-lane case of that function.
+        """
+        if scored is None:
+            return decide_batch([self], [obs])[0]
+        features, q, mask = scored
+        probs = self._probs_from_q(q, mask)
         action = int(self.rng.choice(len(probs), p=probs))
         return action, float(probs[action]), features, mask
 
 
-class UniformRandomPolicy:
+class UniformRandomPolicy(StochasticQPolicy):
     """Uniform over valid actions; the maximum-coverage behaviour."""
 
     name = "uniform-random"
 
     def __init__(self, qnet, tables: DBNTables, seed: int = 0):
         # the Q-network is only used for its action list / featurizer
-        # plumbing, so logs stay compatible with Q-based targets
-        self._inner = StochasticQPolicy(qnet, tables, epsilon=1.0, seed=seed)
-
-    def reset(self, env) -> None:
-        self._inner.reset(env)
+        # plumbing, so logs stay compatible with Q-based targets; with
+        # epsilon 1 the online draw is uniform over valid actions
+        super().__init__(qnet, tables, epsilon=1.0, seed=seed)
 
     def action_probs(self, features: FeatureSet, mask: np.ndarray) -> np.ndarray:
         valid = np.asarray(mask, dtype=bool)
@@ -174,8 +184,37 @@ class UniformRandomPolicy:
     def action_probs_batch(self, features_list, masks) -> list[np.ndarray]:
         return [self.action_probs(None, mask) for mask in masks]
 
-    def decide(self, obs):
-        return self._inner.decide(obs)
+
+def decide_batch(
+    policies: Sequence[StochasticQPolicy], observations
+) -> list[tuple[int, float, FeatureSet, np.ndarray]]:
+    """:meth:`StochasticQPolicy.decide` for several lanes in one call.
+
+    ``policies[i]`` (reset on its lane) observes ``observations[i]``.
+    Lanes whose policies share a Q-network are scored in one stacked
+    forward and masked in one call; each policy then draws from its own
+    RNG, in lane order, so every decision equals a lone ``decide``.
+    """
+    features = [p.featurizer.update(obs) for p, obs in zip(policies, observations)]
+    q_rows: list = [None] * len(policies)
+    masks: list = [None] * len(policies)
+    groups: dict[int, list[int]] = {}
+    for i, policy in enumerate(policies):
+        groups.setdefault(id(policy.qnet), []).append(i)
+    for rows in groups.values():
+        qnet = policies[rows[0]].qnet
+        qnet.check_lanes(policies[i]._topology_key for i in rows)
+        with no_grad():
+            q = qnet.forward(*stack_features([features[i] for i in rows])).data
+        mask = valid_action_mask(qnet.action_list, [observations[i] for i in rows])
+        for j, i in enumerate(rows):
+            q_rows[i], masks[i] = q[j], mask[j]
+    return [
+        policy.decide(obs, scored)
+        for policy, obs, scored in zip(
+            policies, observations, zip(features, q_rows, masks)
+        )
+    ]
 
 
 def collect_logged_episodes(

@@ -46,7 +46,7 @@ import numpy as np
 from repro.eval.runner import drive_vec_episodes
 from repro.rl.features import FeatureSet
 from repro.sim.vec_transport import BREAKDOWN_FIELDS, INFO_SCALAR_FIELDS
-from repro.validation.logging import LoggedEpisode
+from repro.validation.logging import LoggedEpisode, decide_batch
 
 __all__ = [
     "TRACE_FORMAT",
@@ -444,8 +444,10 @@ def record_episodes_vec(venv, behavior_factory, episodes: int, writer:
     **fresh** behaviour policy ``behavior_factory(ep)`` (per-episode
     policy state and RNG), so the recorded log — like
     :func:`~repro.eval.runner.evaluate_policy_vec` metrics — is
-    bit-identical no matter how many lanes record it. Each transition
-    is appended as it happens; memory holds at most one in-flight
+    bit-identical no matter how many lanes record it. Each round makes
+    one :func:`~repro.validation.logging.decide_batch` call for every
+    active lane, so lanes sharing a Q-network share one stacked
+    forward. Each transition is appended as it happens; memory holds at most one in-flight
     episode per lane plus the writer's reorder window, never the log.
 
     Returns the number of transitions recorded.
@@ -464,10 +466,11 @@ def record_episodes_vec(venv, behavior_factory, episodes: int, writer:
         behaviors[slot] = behavior
         writer.begin_episode(ep, lane=slot, seed=seed + ep, gamma=gamma)
 
-    def act(slot: int, ep: int, obs):
-        action, prob, features, mask = behaviors[slot].decide(obs)
-        pending[slot] = (action, prob, features, mask)
-        return action
+    def act_batch(slots: list[int], observations: list) -> list[int]:
+        decisions = decide_batch([behaviors[s] for s in slots], observations)
+        for slot, decision in zip(slots, decisions):
+            pending[slot] = decision
+        return [decision[0] for decision in decisions]
 
     def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
         nonlocal recorded
@@ -484,6 +487,6 @@ def record_episodes_vec(venv, behavior_factory, episodes: int, writer:
         writer.finish_episode(ep, final_features=features, final_mask=mask)
 
     drive_vec_episodes(venv, episodes, seed=seed, horizon=horizon,
-                       on_episode_start=on_episode_start, act=act,
+                       on_episode_start=on_episode_start, act_batch=act_batch,
                        on_step=on_step, on_episode_end=on_episode_end)
     return recorded

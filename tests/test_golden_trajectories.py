@@ -8,6 +8,10 @@ search, so an optimization pass that changes the dynamics — not just
 code shape — must fail loudly here, and an intentional
 trajectory-distribution change must regenerate the fixtures
 (``PYTHONPATH=src python tests/golden/regenerate.py``) and say so.
+
+The ACSO fixture extends the pin to the learned defender: fixed-seed
+weights and in-repo DBN tables, batched evaluation metrics, and the
+Q-values the policy computed along a greedy replay.
 """
 
 import importlib.util
@@ -53,8 +57,10 @@ class TestGoldenCoverage:
         assert not missing, f"missing golden fixtures for {missing}"
 
     def test_no_stale_fixtures(self):
-        """Every committed fixture corresponds to a built-in scenario."""
+        """Every committed fixture corresponds to a built-in scenario
+        (or is the ACSO interaction fixture)."""
         known = {fixture_path(sid).name for sid in BUILTIN_IDS}
+        known.add(_regen.ACSO_FIXTURE.name)
         stale = [p.name for p in GOLDEN_DIR.glob("*.json")
                  if p.name not in known]
         assert not stale, f"stale golden fixtures: {stale}"
@@ -99,3 +105,39 @@ def test_digest_is_seed_sensitive():
     other = rollout_digest("inasim-tiny-v1", seed=golden["seed"] + 1,
                            steps=STEPS)
     assert other["observation_sha256_16"] != golden["observation_sha256_16"]
+
+
+class TestACSOGolden:
+    """The learned defender's interaction path: weights, DBN tables,
+    featurizer, graph-free Q forward, vectorised mask and the lockstep
+    driver, all replayed against ``acso-inasim-small-v1.json``."""
+
+    @pytest.fixture(scope="class")
+    def replay(self):
+        with open(_regen.ACSO_FIXTURE) as handle:
+            golden = json.load(handle)
+        return golden, _regen.acso_digest(golden["recipe"])
+
+    def test_weights_and_tables_are_the_pinned_ones(self, replay):
+        golden, fresh = replay
+        assert fresh["weights_sha256_16"] == golden["weights_sha256_16"]
+        assert fresh["dbn_tables_sha256_16"] == golden["dbn_tables_sha256_16"]
+
+    def test_batched_evaluation_metrics(self, replay):
+        golden, fresh = replay
+        assert fresh["episodes"] == golden["episodes"]
+
+    def test_q_values_along_greedy_replay(self, replay):
+        golden, fresh = replay
+        assert fresh["q_steps"] == golden["q_steps"]
+        assert fresh["valid_action_counts"] == golden["valid_action_counts"]
+        assert fresh["q_values_sha256_16"] == golden["q_values_sha256_16"]
+
+    def test_fixture_is_not_trivial(self, replay):
+        """The replay reaches states where actions are busy and the
+        episodes differ, so the pins constrain something."""
+        golden, _ = replay
+        counts = golden["valid_action_counts"]
+        assert min(counts) < max(counts)
+        returns = {e["discounted_return"] for e in golden["episodes"]}
+        assert len(returns) > 1

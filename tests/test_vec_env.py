@@ -255,16 +255,51 @@ class TestActionMasks:
         assert not masks[0].all()
 
     def test_matches_rl_stack_mask(self):
+        """One busy-target rule behind three entry points: the env's
+        mask, the vector env's stacked masks and the RL stack's
+        ``valid_action_mask`` (one observation or a batch of them, on
+        the env's action order and the Q-network's)."""
+        from repro.rl import AttentionQNetwork, QNetConfig
         from repro.rl.dqn import valid_action_mask
+        from repro.sim.orchestrator import DefenderAction
+        from repro.sim.orchestrator import DefenderActionType as T
 
-        venv = _tiny_vec(1)
-        obs = venv.reset(seed=0)
-        venv.step(np.array([2]))
-        env = venv.envs[0]
-        obs = venv._last_obs[0]
-        np.testing.assert_array_equal(
-            env.action_mask(), valid_action_mask(env.action_list, obs)
-        )
+        for backend in ("sync", "batched"):
+            venv = _tiny_vec(3, backend=backend)
+            venv.reset(seed=0)
+            replace = [DefenderAction(T.REPLACE_PLC, 0),
+                       DefenderAction(T.REIMAGE, 1)]
+            step_actions = [replace, [DefenderAction(T.REPLACE_PLC, 1)], []]
+            step = venv.step(step_actions)
+            observations = step.observations
+            assert observations[0].plc_busy[0] and observations[1].plc_busy[1]
+            assert observations[0].node_busy[1]
+            assert not observations[2].plc_busy.any()
+
+            env = venv.envs[0]
+            batched = valid_action_mask(env.action_list, observations)
+            assert batched.shape == (3, env.n_actions)
+            for lane, launched in enumerate(step_actions):
+                for action in launched:  # every launched target is busy
+                    assert not batched[lane, env.action_index[action]]
+            assert batched[2].all()
+            np.testing.assert_array_equal(batched, venv.action_masks())
+            for i, obs in enumerate(observations):
+                np.testing.assert_array_equal(
+                    batched[i], valid_action_mask(env.action_list, obs)
+                )
+                np.testing.assert_array_equal(
+                    batched[i], venv.envs[i].action_mask()
+                )
+
+            qnet = AttentionQNetwork(QNetConfig(d_model=8, n_heads=2), seed=0)
+            qnet.bind_topology(env.topology)
+            by_action = dict(zip(env.action_list, batched.T))
+            expected = np.stack([by_action[a] for a in qnet.action_list], 1)
+            np.testing.assert_array_equal(
+                valid_action_mask(qnet.action_list, observations), expected
+            )
+            venv.close()
 
     def test_sample_actions_are_valid(self):
         venv = _tiny_vec(2)
