@@ -715,8 +715,11 @@ def cmd_ope_report(args) -> int:
     qnet = AttentionQNetwork(qnet_config, seed=int(meta.get("qnet_seed", 0)))
     qnet.bind_topology(env.topology)
     qnet_path = args.qnet or os.path.join(args.trace, "qnet.npz")
-    if os.path.exists(qnet_path):
-        load_state(qnet, qnet_path)
+    if not os.path.exists(qnet_path):
+        raise SystemExit(
+            f"no target Q-network weights at {qnet_path!r} (pass --qnet)"
+        )
+    load_state(qnet, qnet_path)
     target = StochasticQPolicy(qnet, tables,
                                temperature=args.target_temperature,
                                epsilon=args.target_epsilon,

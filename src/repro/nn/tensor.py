@@ -35,6 +35,28 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
+def _selects_once(key) -> bool:
+    """True when ``array[key]`` reads each element at most once: slices,
+    scalars, boolean masks, and one integer index array without repeats.
+    The gradient of such a read is a plain indexed add; only a repeated
+    index needs the ``np.add.at`` scatter."""
+    parts = key if isinstance(key, tuple) else (key,)
+    arrays = [
+        np.asarray(part) for part in parts
+        if part is not None and part is not Ellipsis
+        and not isinstance(part, (slice, int, np.integer))
+    ]
+    if not arrays:
+        return True
+    if len(arrays) > 1:
+        return False
+    index = arrays[0]
+    if index.dtype == bool:
+        return True
+    # a negative entry may alias a positive one
+    return bool((index >= 0).all()) and np.unique(index).size == index.size
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
     if grad.shape == shape:
@@ -100,13 +122,20 @@ class Tensor:
 
     # ------------------------------------------------------------------
     # elementwise arithmetic
+    #
+    # A binary op's backward returns None for an operand that needs no
+    # gradient (input features, constant ones / tiles), so that gradient
+    # is never computed.
     # ------------------------------------------------------------------
     def __add__(self, other):
         other = self._coerce(other)
         data = self.data + other.data
 
         def backward(grad):
-            return (_unbroadcast(grad, self.shape), _unbroadcast(grad, other.shape))
+            return (
+                _unbroadcast(grad, self.shape) if self.requires_grad else None,
+                _unbroadcast(grad, other.shape) if other.requires_grad else None,
+            )
 
         return self._make(data, (self, other), backward)
 
@@ -127,8 +156,10 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad * other.data, self.shape),
-                _unbroadcast(grad * self.data, other.shape),
+                _unbroadcast(grad * other.data, self.shape)
+                if self.requires_grad else None,
+                _unbroadcast(grad * self.data, other.shape)
+                if other.requires_grad else None,
             )
 
         return self._make(data, (self, other), backward)
@@ -141,8 +172,10 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad / other.data, self.shape),
-                _unbroadcast(-grad * self.data / (other.data ** 2), other.shape),
+                _unbroadcast(grad / other.data, self.shape)
+                if self.requires_grad else None,
+                _unbroadcast(-grad * self.data / (other.data ** 2), other.shape)
+                if other.requires_grad else None,
             )
 
         return self._make(data, (self, other), backward)
@@ -164,15 +197,28 @@ class Tensor:
 
         def backward(grad):
             a, b = self.data, other.data
+            ga = gb = None
             if a.ndim == 1 and b.ndim == 1:  # inner product
-                return (grad * b, grad * a)
-            if a.ndim == 1:  # (k,) @ (k, n)
-                return (grad @ b.T, np.outer(a, grad))
-            if b.ndim == 1:  # (m, k) @ (k,)
-                return (np.outer(grad, b), a.T @ grad)
-            ga = grad @ np.swapaxes(b, -1, -2)
-            gb = np.swapaxes(a, -1, -2) @ grad
-            return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+                if self.requires_grad:
+                    ga = grad * b
+                if other.requires_grad:
+                    gb = grad * a
+            elif a.ndim == 1:  # (k,) @ (k, n)
+                if self.requires_grad:
+                    ga = grad @ b.T
+                if other.requires_grad:
+                    gb = np.outer(a, grad)
+            elif b.ndim == 1:  # (m, k) @ (k,)
+                if self.requires_grad:
+                    ga = np.outer(grad, b)
+                if other.requires_grad:
+                    gb = a.T @ grad
+            else:
+                if self.requires_grad:
+                    ga = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
+                if other.requires_grad:
+                    gb = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
+            return (ga, gb)
 
         return self._make(data, (self, other), backward)
 
@@ -294,7 +340,10 @@ class Tensor:
 
         def backward(grad):
             out = np.zeros_like(self.data)
-            np.add.at(out, key, grad)
+            if _selects_once(key):
+                out[key] += grad
+            else:
+                np.add.at(out, key, grad)
             return (out,)
 
         return self._make(data, (self,), backward)
@@ -306,8 +355,9 @@ class Tensor:
         data = self.data[rows, indices]
 
         def backward(grad):
+            # one element per row: never a repeated (row, column) pair
             out = np.zeros_like(self.data)
-            np.add.at(out, (rows, indices), grad)
+            out[rows, indices] += grad
             return (out,)
 
         return self._make(data, (self,), backward)

@@ -22,13 +22,15 @@ correction terms vanish; with broken importance weights the Q model
 anchors the estimate.
 
 Both estimators stream their episode source in fixed-size **episode
-chunks** (:func:`~repro.validation.datasets.iter_episode_chunks`):
-features for one chunk are materialized, regressed or scored, and
-dropped before the next chunk loads, so a million-transition
+chunks** (:class:`~repro.validation.ope.ScoredSource`): features for one
+chunk are materialized, regressed or scored, and dropped before the
+next chunk loads, so a million-transition
 :class:`~repro.validation.datasets.TraceDataset` trains in bounded
 memory. Chunk boundaries depend only on episode count — never on shard
 layout — which makes the on-disk and in-memory paths numerically
-identical on the same episodes.
+identical on the same episodes. Each state is scored by the target
+policy at most once per pass, and a source that fits in one chunk is
+decoded and scored once for the whole fit.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ import numpy as np
 
 from repro.nn import Adam, huber_loss, no_grad
 from repro.rl.features import stack_features
-from repro.validation.datasets import iter_episode_chunks
 from repro.validation.logging import LoggedEpisode
 from repro.validation.ope import (
     OPEResult,
+    ScoredEpisode,
+    ScoredSource,
     effective_sample_size,
     step_ratios,
     target_action_probs,
@@ -75,12 +78,14 @@ class FQEResult:
     start_values: np.ndarray = field(default=None, repr=False)
 
 
+#: episodes per FQE chunk unless the caller says otherwise
+DEFAULT_CHUNK_EPISODES = 64
+
+
 def _transitions(episodes: list[LoggedEpisode]):
-    """Flatten logs into (features, mask, action, reward, next, done,
+    """Flatten logs into (features, action, reward, next features, done,
     return-to-go)."""
-    feats, masks, actions, rewards, next_feats, next_masks, dones = (
-        [], [], [], [], [], [], []
-    )
+    feats, actions, rewards, next_feats, dones = [], [], [], [], []
     returns_to_go: list[float] = []
     for episode in episodes:
         steps = episode.steps
@@ -92,41 +97,43 @@ def _transitions(episodes: list[LoggedEpisode]):
         returns_to_go.extend(rtg)
         for t, step in enumerate(steps):
             feats.append(step.features)
-            masks.append(step.mask)
             actions.append(step.action)
             rewards.append(step.reward)
             if t + 1 < len(steps):
                 next_feats.append(steps[t + 1].features)
-                next_masks.append(steps[t + 1].mask)
                 dones.append(False)
             else:
-                next_feats.append(episode.final_features or step.features)
-                next_masks.append(
-                    episode.final_mask if episode.final_mask is not None
-                    else step.mask
-                )
+                next_feats.append(episode.final_state()[0])
                 dones.append(True)
     return (
-        feats, masks, np.array(actions, np.int64), np.array(rewards),
-        next_feats, next_masks, np.array(dones, float),
-        np.array(returns_to_go),
+        feats, np.array(actions, np.int64), np.array(rewards),
+        next_feats, np.array(dones, float), np.array(returns_to_go),
     )
 
 
-def _policy_values(qnet, target_policy, features_list, masks) -> np.ndarray:
-    """V(s) = sum_a pi(a|s) Q(s, a) for a batch of states."""
+def _next_probs(scored: list[ScoredEpisode]) -> list:
+    """pi at every transition's next state, in :func:`_transitions`
+    order: the following step's, or the final state's."""
+    probs: list = []
+    for episode in scored:
+        probs.extend(episode.probs[1:])
+        probs.append(episode.final_probs)
+    return probs
+
+
+def _policy_values(qnet, features_list, probs_list) -> np.ndarray:
+    """V(s) = sum_a pi(a|s) Q(s, a) for a batch of scored states."""
     with no_grad():
         q = qnet.forward(*stack_features(features_list)).data
-    probs_list = target_action_probs(target_policy, features_list, masks)
     values = np.empty(len(features_list))
     for i, probs in enumerate(probs_list):
         values[i] = float(probs @ q[i])
     return values
 
 
-def _first_gamma(episodes) -> float:
-    for episode in episodes:
-        return episode.gamma
+def _first_gamma(source: ScoredSource) -> float:
+    for chunk in source:
+        return chunk.episodes[0].gamma
     raise ValueError("need at least one logged episode")
 
 
@@ -141,7 +148,7 @@ def fitted_q_evaluation(
     seed: int = 0,
     reward_scale: float | None = None,
     mc_epochs: int = 2,
-    chunk_episodes: int = 64,
+    chunk_episodes: int = DEFAULT_CHUNK_EPISODES,
 ) -> FQEResult:
     """Fit Q^pi on logged transitions; returns the start-state value.
 
@@ -150,10 +157,14 @@ def fitted_q_evaluation(
     untouched). ``target_policy.action_probs`` supplies pi(a|s).
 
     ``episodes`` is any re-iterable episode source — a list or a
-    :class:`~repro.validation.datasets.TraceDataset`. Each pass
-    (warm-start, every Bellman iteration, the final start-state
-    scoring) re-streams the source ``chunk_episodes`` episodes at a
-    time; peak memory is one chunk's transitions, never the log's.
+    :class:`~repro.validation.datasets.TraceDataset`, or a
+    :class:`~repro.validation.ope.ScoredSource` over one with this
+    ``target_policy`` and ``chunk_episodes`` whose chunks another
+    estimator has scored already. Each pass (warm-start, every Bellman
+    iteration, the final start-state scoring) re-streams the source
+    ``chunk_episodes`` episodes at a time; peak memory is one chunk's
+    transitions, never the log's. A source that fits in one chunk is
+    decoded and scored once and kept for every pass.
 
     ``reward_scale`` multiplies rewards during the regression and the
     returned value is divided back. The default (1 - gamma) keeps the
@@ -168,9 +179,19 @@ def fitted_q_evaluation(
     Monte-Carlo anchor fixes the value scale immediately and the
     Bellman iterations then bend the estimate toward the target policy.
     """
-    if len(episodes) == 0:
+    if isinstance(episodes, ScoredSource):
+        source = episodes
+        if (source.target_policy is not target_policy
+                or source.chunk_episodes != chunk_episodes):
+            raise ValueError(
+                "the ScoredSource was scored for another target policy "
+                "or chunk size"
+            )
+    else:
+        source = ScoredSource(episodes, target_policy, chunk_episodes)
+    if len(source) == 0:
         raise ValueError("need at least one logged episode")
-    gamma = _first_gamma(episodes)
+    gamma = _first_gamma(source)
     if reward_scale is None:
         reward_scale = 1.0 - gamma
     if reward_scale <= 0:
@@ -178,6 +199,14 @@ def fitted_q_evaluation(
     optimizer = Adam(qnet.parameters(), lr=lr)
     rng = np.random.default_rng(seed)
     losses: list[float] = []
+
+    def _step(states, actions, targets) -> float:
+        # the graph dies on return, before the next step builds its own
+        optimizer.zero_grad()
+        loss = huber_loss(qnet.forward(*states).gather_rows(actions), targets)
+        loss.backward()
+        optimizer.step()
+        return loss.item()
 
     def _regress(feats, actions, targets_all: np.ndarray,
                  epochs: int) -> list[float]:
@@ -188,31 +217,30 @@ def fitted_q_evaluation(
             for start in range(0, n, batch_size):
                 batch = order[start:start + batch_size]
                 states = stack_features([feats[i] for i in batch])
-                optimizer.zero_grad()
-                q = qnet.forward(*states)
-                predicted = q.gather_rows(actions[batch])
-                loss = huber_loss(predicted, targets_all[batch])
-                loss.backward()
-                optimizer.step()
-                epoch_losses.append(loss.item())
+                epoch_losses.append(
+                    _step(states, actions[batch], targets_all[batch])
+                )
         return epoch_losses
 
     if mc_epochs > 0:
         pass_losses: list[float] = []
-        for chunk in iter_episode_chunks(episodes, chunk_episodes):
-            feats, _, actions, _, _, _, _, returns_to_go = _transitions(chunk)
+        for chunk in source:
+            feats, actions, _, _, _, returns_to_go = _transitions(
+                chunk.episodes
+            )
             pass_losses += _regress(feats, actions,
                                     returns_to_go * reward_scale, mc_epochs)
         losses.append(float(np.mean(pass_losses)))
 
     for _ in range(iterations):
         pass_losses = []
-        for chunk in iter_episode_chunks(episodes, chunk_episodes):
-            (feats, _, actions, rewards, next_feats, next_masks, dones,
-             _) = _transitions(chunk)
+        for chunk in source:
+            feats, actions, rewards, next_feats, dones, _ = _transitions(
+                chunk.episodes
+            )
             # freeze the bootstrap values for this chunk
-            next_values = _policy_values(qnet, target_policy, next_feats,
-                                         next_masks)
+            next_values = _policy_values(qnet, next_feats,
+                                         _next_probs(chunk.scored))
             targets_all = (rewards * reward_scale
                            + gamma * (1.0 - dones) * next_values)
             pass_losses += _regress(feats, actions, targets_all,
@@ -220,12 +248,10 @@ def fitted_q_evaluation(
         losses.append(float(np.mean(pass_losses)))
 
     start_chunks: list[np.ndarray] = []
-    for chunk in iter_episode_chunks(episodes, chunk_episodes):
-        start_feats = [ep.steps[0].features for ep in chunk]
-        start_masks = [ep.steps[0].mask for ep in chunk]
-        start_chunks.append(
-            _policy_values(qnet, target_policy, start_feats, start_masks)
-        )
+    for chunk in source:
+        start_feats = [ep.steps[0].features for ep in chunk.episodes]
+        start_probs = [scored.probs[0] for scored in chunk.scored]
+        start_chunks.append(_policy_values(qnet, start_feats, start_probs))
     start_values = np.concatenate(start_chunks)
     return FQEResult(value=float(start_values.mean()) / reward_scale,
                      losses=losses, qnet=qnet, reward_scale=reward_scale,
@@ -239,21 +265,29 @@ def episode_dr_value(
     clip: float | None = None,
     reward_scale: float = 1.0,
     label: int | str | None = None,
+    target_probs: list | None = None,
 ) -> tuple[float, float]:
-    """One episode's doubly-robust value and its trajectory weight."""
+    """One episode's doubly-robust value and its trajectory weight.
+
+    The episode is scored once; ``target_probs``, when the caller has
+    scored it already (:class:`~repro.validation.ope.ScoredEpisode`),
+    are used instead.
+    """
     steps = episode.steps
     feats = [s.features for s in steps]
-    masks = [s.mask for s in steps]
     with no_grad():
         q_all = qnet.forward(*stack_features(feats)).data / reward_scale
     q_taken = q_all[np.arange(len(steps)), episode.actions]
-    probs_list = target_action_probs(target_policy, feats, masks)
+    if target_probs is None:
+        target_probs = target_action_probs(target_policy, feats,
+                                           [s.mask for s in steps])
     state_values = np.empty(len(steps))
-    for t, probs in enumerate(probs_list):
+    for t, probs in enumerate(target_probs):
         state_values[t] = float(probs @ q_all[t])
     next_values = np.append(state_values[1:], 0.0)  # terminal V = 0
 
-    ratios = step_ratios(episode, target_policy, clip, label=label)
+    ratios = step_ratios(episode, target_policy, clip, label=label,
+                         target_probs=target_probs)
     cumulative = np.cumprod(ratios)
     discounts = episode.gamma ** np.arange(len(steps))
     corrections = cumulative * (

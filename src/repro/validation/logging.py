@@ -74,6 +74,16 @@ class LoggedEpisode:
     def discounted_return(self) -> float:
         return discounted_return(self.rewards, self.gamma)
 
+    def final_state(self) -> tuple[FeatureSet, np.ndarray]:
+        """Features and mask after the last step (the bootstrap state);
+        the last step's own where the log holds no final snapshot."""
+        features, mask = self.final_features, self.final_mask
+        if features is None or mask is None:
+            last = self.steps[-1]
+            features = last.features if features is None else features
+            mask = last.mask if mask is None else mask
+        return features, mask
+
 
 class StochasticQPolicy:
     """Stochastic policy over masked Q-values.

@@ -24,15 +24,27 @@ shards off disk — and makes exactly one pass, keeping only three
 scalars per episode (:class:`EpisodeOPEStats`). Those per-episode
 reductions are shared with :func:`~repro.validation.suite.run_ope_suite`
 so the suite's numbers equal the standalone estimators bit for bit.
+
+The target policy's distributions come from :func:`target_action_probs`
+alone. A :class:`ScoredSource` calls it once per episode of a chunk, on
+every logged state and the final state, and hands the per-episode
+arrays (:class:`ScoredEpisode`) to the IS scalars, the FQE fit and DR,
+so a suite run scores each state at most once per pass over the source
+— and only once in all when the source fits in one chunk. Scoring one
+episode at a time keeps the forward's stacked input to one episode's
+states: a whole chunk's stack, freed next to the distributions kept
+beside it, fragments the heap and raises peak memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.validation.datasets import iter_episode_chunks
 from repro.validation.logging import LoggedEpisode
 
 __all__ = [
@@ -44,6 +56,8 @@ __all__ = [
     "collect_ope_stats",
     "wis_point_estimate",
     "target_action_probs",
+    "ScoredEpisode",
+    "ScoredSource",
     "effective_sample_size",
     "ordinary_importance_sampling",
     "weighted_importance_sampling",
@@ -98,27 +112,109 @@ def target_action_probs(target_policy, features_list, masks) -> list:
     ]
 
 
+@dataclass(frozen=True)
+class ScoredEpisode:
+    """A logged episode with the target distribution at each state."""
+
+    episode: LoggedEpisode
+    #: pi(.|s_t) at every logged step
+    probs: list
+    #: pi(.|s_T) at the state after the last step (FQE's bootstrap)
+    final_probs: np.ndarray
+
+
+def score_episode(episode: LoggedEpisode, target_policy) -> ScoredEpisode:
+    """Score every logged state of ``episode`` and its final state in
+    one :func:`target_action_probs` call."""
+    final_features, final_mask = episode.final_state()
+    probs = target_action_probs(
+        target_policy,
+        [step.features for step in episode.steps] + [final_features],
+        [step.mask for step in episode.steps] + [final_mask],
+    )
+    return ScoredEpisode(episode, probs[:-1], probs[-1])
+
+
+class ScoredChunk:
+    """One chunk of logged episodes; the target distributions at its
+    states are scored on first use, then kept with the chunk."""
+
+    def __init__(self, episodes: list[LoggedEpisode], target_policy):
+        self.episodes = episodes
+        self.target_policy = target_policy
+
+    @cached_property
+    def scored(self) -> list[ScoredEpisode]:
+        return [score_episode(episode, self.target_policy)
+                for episode in self.episodes]
+
+
+class ScoredSource:
+    """An episode source read ``chunk_episodes`` episodes at a time,
+    each chunk a :class:`ScoredChunk` for one target policy.
+
+    A source that fits in one chunk is decoded once, and its chunk —
+    with its distributions, once scored — is kept for every later pass.
+    A larger source is re-streamed (and re-scored) on each pass, so
+    memory stays at one chunk plus its distribution table. Chunk
+    boundaries depend only on episode count, as in
+    :func:`~repro.validation.datasets.iter_episode_chunks`.
+    """
+
+    def __init__(self, episodes: Iterable[LoggedEpisode], target_policy,
+                 chunk_episodes: int):
+        self.episodes = episodes
+        self.target_policy = target_policy
+        self.chunk_episodes = chunk_episodes
+        self._kept: ScoredChunk | None = None
+
+    def __len__(self) -> int:
+        return len(self.episodes)
+
+    def __iter__(self) -> Iterator[ScoredChunk]:
+        if self._kept is not None:
+            yield self._kept
+            return
+        keep = len(self.episodes) <= self.chunk_episodes
+        for episodes in iter_episode_chunks(self.episodes,
+                                            self.chunk_episodes):
+            chunk = ScoredChunk(episodes, self.target_policy)
+            if keep:
+                self._kept = chunk
+            yield chunk
+
+    def scored_episodes(self) -> Iterator[ScoredEpisode]:
+        """Every episode of the source with its distributions."""
+        for chunk in self:
+            yield from chunk.scored
+
+
 def step_ratios(episode: LoggedEpisode, target_policy,
                 clip: float | None = None,
-                label: int | str | None = None) -> np.ndarray:
+                label: int | str | None = None,
+                target_probs: list | None = None) -> np.ndarray:
     """Per-step importance ratios pi(a_t|s_t) / b(a_t|s_t).
 
     ``target_policy`` must expose ``action_probs(features, mask)``;
-    ``clip`` truncates each ratio from above (weight clipping trades a
-    small bias for bounded variance). A zero behaviour probability or a
-    non-finite raw ratio raises :class:`BehaviorSupportError` naming
-    the episode (``label``, or the episode's seed) and step — clipping
-    happens *after* this check, so ``clip`` can never paper over a
-    broken log by truncating an infinite ratio.
+    ``target_probs``, when the caller has scored the episode already
+    (:class:`ScoredEpisode`), are used instead. ``clip`` truncates each
+    ratio from above (weight clipping trades a small bias for bounded
+    variance). A zero behaviour probability or a non-finite raw ratio
+    raises :class:`BehaviorSupportError` naming the episode (``label``,
+    or the episode's seed) and step — clipping happens *after* this
+    check, so ``clip`` can never paper over a broken log by truncating
+    an infinite ratio.
     """
     if label is None and episode.seed is not None:
         label = f"seed={episode.seed}"
     where = "episode" if label is None else f"episode {label}"
-    probs_list = target_action_probs(
-        target_policy,
-        [step.features for step in episode.steps],
-        [step.mask for step in episode.steps],
-    )
+    probs_list = target_probs
+    if probs_list is None:
+        probs_list = target_action_probs(
+            target_policy,
+            [step.features for step in episode.steps],
+            [step.mask for step in episode.steps],
+        )
     ratios = np.empty(len(episode))
     for t, (step, target_probs) in enumerate(zip(episode.steps, probs_list)):
         if step.behavior_prob <= 0:
@@ -171,9 +267,12 @@ class EpisodeOPEStats:
 
 def episode_ope_stats(episode: LoggedEpisode, target_policy,
                       clip: float | None = None,
-                      label: int | str | None = None) -> EpisodeOPEStats:
-    """One streaming pass over an episode's steps → its IS scalars."""
-    ratios = step_ratios(episode, target_policy, clip, label=label)
+                      label: int | str | None = None,
+                      target_probs: list | None = None) -> EpisodeOPEStats:
+    """One streaming pass over an episode's steps → its IS scalars
+    (``target_probs`` as in :func:`step_ratios`)."""
+    ratios = step_ratios(episode, target_policy, clip, label=label,
+                         target_probs=target_probs)
     cumulative = np.cumprod(ratios)
     discounts = episode.gamma ** np.arange(len(episode))
     pdis = float(np.sum(discounts * cumulative * episode.rewards))
@@ -196,8 +295,8 @@ def collect_ope_stats(
         yield episode_ope_stats(episode, target_policy, clip, label=index)
 
 
-def _stats_arrays(episodes, target_policy, clip):
-    stats = list(collect_ope_stats(episodes, target_policy, clip))
+def _stats_arrays(stats: Iterable[EpisodeOPEStats]):
+    stats = list(stats)
     if not stats:
         raise ValueError("need at least one logged episode")
     return (
@@ -226,7 +325,9 @@ def ordinary_importance_sampling(
     clip: float | None = None,
 ) -> OPEResult:
     """Unbiased full-trajectory IS estimate of the target value."""
-    weights, returns, _ = _stats_arrays(episodes, target_policy, clip)
+    weights, returns, _ = _stats_arrays(
+        collect_ope_stats(episodes, target_policy, clip)
+    )
     estimate, stderr = _mean_stderr(weights * returns)
     return OPEResult(estimate, stderr, effective_sample_size(weights),
                      len(weights), "OIS")
@@ -237,7 +338,9 @@ def weighted_importance_sampling(
     clip: float | None = None,
 ) -> OPEResult:
     """Self-normalized IS: biased, consistent, low variance."""
-    weights, returns, _ = _stats_arrays(episodes, target_policy, clip)
+    weights, returns, _ = _stats_arrays(
+        collect_ope_stats(episodes, target_policy, clip)
+    )
     total = weights.sum()
     if total == 0.0:
         estimate = 0.0
@@ -256,7 +359,9 @@ def per_decision_importance_sampling(
     clip: float | None = None,
 ) -> OPEResult:
     """Per-decision IS: each reward weighted by ratios up to its step."""
-    weights, _, values = _stats_arrays(episodes, target_policy, clip)
+    weights, _, values = _stats_arrays(
+        collect_ope_stats(episodes, target_policy, clip)
+    )
     estimate, stderr = _mean_stderr(values)
     return OPEResult(estimate, stderr, effective_sample_size(weights),
                      len(weights), "PDIS")

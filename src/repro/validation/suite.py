@@ -16,6 +16,15 @@ standalone estimators use (:func:`~repro.validation.ope.episode_ope_stats`,
 :func:`~repro.validation.fqe.episode_dr_value`), so a suite run over
 on-disk shards is bit-identical to calling the individual estimators
 on the equivalent in-memory episodes.
+
+The suite does each piece of work once. One
+:class:`~repro.validation.ope.ScoredSource` is shared by every
+estimator: each chunk is decoded and the target policy scored on all of
+its logged and final states, and the IS scalars, the FQE fit and DR all
+read those distributions. A source that fits in one
+chunk (``chunk_episodes``, 64 by default) is decoded and scored once
+for the whole report; a larger one is re-streamed per pass, holding one
+chunk and its distribution table at a time.
 """
 
 from __future__ import annotations
@@ -27,13 +36,18 @@ from typing import Iterable
 import numpy as np
 
 from repro.validation.confidence import bootstrap_ci, bootstrap_ratio_ci
-from repro.validation.fqe import episode_dr_value, fitted_q_evaluation
+from repro.validation.fqe import (
+    DEFAULT_CHUNK_EPISODES,
+    episode_dr_value,
+    fitted_q_evaluation,
+)
 from repro.validation.logging import LoggedEpisode
 from repro.validation.ope import (
+    ScoredSource,
     _mean_stderr,
     _stats_arrays,
     effective_sample_size,
-    wis_point_estimate,
+    episode_ope_stats,
 )
 
 __all__ = ["SuiteEstimate", "OPESuiteReport", "run_ope_suite"]
@@ -122,8 +136,10 @@ def run_ope_suite(
     :class:`~repro.validation.datasets.TraceDataset`): the suite makes
     one streaming pass for the IS scalars, the FQE passes, and one DR
     pass with the fitted network — transitions are never materialized
-    whole. ``eval_qnet`` is a *fresh* evaluation network already bound
-    to the logging topology; it is trained in place by the FQE fit.
+    whole, and a source of at most ``chunk_episodes`` episodes is read
+    and scored once for all of them. ``eval_qnet`` is a *fresh*
+    evaluation network already bound to the logging topology; it is
+    trained in place by the FQE fit.
     ``fqe_options`` forwards keyword arguments to
     :func:`~repro.validation.fqe.fitted_q_evaluation` (iterations,
     chunk_episodes, seed, ...).
@@ -134,12 +150,20 @@ def run_ope_suite(
     keep the conventional estimator names. Model-based entries carry
     ``ess = NaN`` (no importance weights involved).
     """
-    weights, returns, pdis_values = _stats_arrays(episodes, target_policy,
-                                                  clip)
+    fqe_options = fqe_options or {}
+    source = ScoredSource(
+        episodes, target_policy,
+        fqe_options.get("chunk_episodes", DEFAULT_CHUNK_EPISODES),
+    )
+    transitions = 0
+    stats = []
+    for index, scored in enumerate(source.scored_episodes()):
+        transitions += len(scored.episode)
+        stats.append(episode_ope_stats(scored.episode, target_policy, clip,
+                                       label=index,
+                                       target_probs=scored.probs))
+    weights, returns, pdis_values = _stats_arrays(stats)
     n = len(weights)
-    transitions = getattr(episodes, "num_transitions", None)
-    if transitions is None:
-        transitions = sum(len(episode) for episode in episodes)
     ess = effective_sample_size(weights)
 
     estimates: dict[str, SuiteEstimate] = {}
@@ -169,8 +193,8 @@ def run_ope_suite(
     estimates["PDIS"] = SuiteEstimate("PDIS", pdis_estimate, pdis_lower,
                                       pdis_upper, pdis_stderr, ess, n)
 
-    fit = fitted_q_evaluation(episodes, target_policy, eval_qnet,
-                              **(fqe_options or {}))
+    fit = fitted_q_evaluation(source, target_policy, eval_qnet,
+                              **fqe_options)
     _, dm_lower, dm_upper = bootstrap_ci(fit.start_values, alpha, n_boot,
                                          bootstrap_seed)
     _, dm_stderr = _mean_stderr(fit.start_values)
@@ -179,9 +203,10 @@ def run_ope_suite(
                                         dm_stderr, float("nan"), n)
 
     dr_values = np.array([
-        episode_dr_value(episode, target_policy, fit.qnet, clip,
-                         fit.reward_scale, label=index)[0]
-        for index, episode in enumerate(episodes)
+        episode_dr_value(scored.episode, target_policy, fit.qnet, clip,
+                         fit.reward_scale, label=index,
+                         target_probs=scored.probs)[0]
+        for index, scored in enumerate(source.scored_episodes())
     ])
     dr_estimate, dr_stderr = _mean_stderr(dr_values)
     _, dr_lower, dr_upper = bootstrap_ci(dr_values, alpha, n_boot,

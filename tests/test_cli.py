@@ -340,3 +340,32 @@ class TestRunsCli:
         with pytest.raises(SystemExit):
             main(["submit", "--scenario", "inasim-tiny-v1",
                   "--port", "1", "--host", "127.0.0.1"])
+
+
+class TestOpeReportWeights:
+    """``ope report`` refuses to score a target whose weights are
+    missing instead of evaluating random initial weights."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ope") / "trace"
+        assert main([
+            "ope", "record", "--preset", "tiny", "--episodes", "2",
+            "--max-steps", "4", "--num-envs", "2", "--seed", "1",
+            "--out", str(out),
+        ]) == 0
+        return out
+
+    def test_explicit_qnet_path_must_exist(self, trace, tmp_path):
+        missing = tmp_path / "typo.npz"
+        with pytest.raises(SystemExit, match="no target Q-network weights"):
+            main(["ope", "report", str(trace), "--qnet", str(missing)])
+
+    def test_default_qnet_path_must_exist(self, trace, tmp_path):
+        import shutil
+
+        bare = tmp_path / "bare"
+        shutil.copytree(trace, bare)
+        (bare / "qnet.npz").unlink()
+        with pytest.raises(SystemExit, match=r"qnet\.npz.*--qnet"):
+            main(["ope", "report", str(bare)])

@@ -146,6 +146,34 @@ class TestBackward:
         idx = [0, 3, 3, 1]
         check_grad(lambda t: t.gather_rows(idx), x)
 
+    @pytest.mark.parametrize("key", [
+        (slice(1, None), slice(None, 2)),  # slices: plain indexed add
+        (slice(None), np.array([3, 0, 2])),  # unique index array
+        np.array([True, False, True]),  # boolean mask
+        (slice(None), np.array([1, 3, 1, 1])),  # repeats: np.add.at
+        np.array([2, -1]),  # -1 aliases row 2: np.add.at
+        (np.array([0, 2]), np.array([1, 1])),  # index pairs: np.add.at
+    ])
+    def test_gradcheck_getitem(self, key):
+        check_grad(lambda t: t[key], rng.normal(size=(3, 4)))
+
+    def test_constant_operand_gets_no_gradient(self):
+        """A binary op's backward computes no gradient for an operand
+        that needs none (input features, constant tiles)."""
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        const = Tensor(rng.normal(size=(2, 3, 4)))
+        weights = Tensor(rng.normal(size=(4, 5)))
+        cases = [
+            (x + const, 0), (const + x, 1), (x * const, 0), (const * x, 1),
+            (x / (const * const + 1.0), 0), (const / (x * x + 1.0), 1),
+            (x @ weights, 0), (const @ w, 1),
+        ]
+        for out, needs in cases:
+            grads = out._backward(np.ones_like(out.data))
+            assert grads[1 - needs] is None
+            assert grads[needs].shape == out._parents[needs].shape
+
     def test_grad_accumulates_on_reuse(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         y = x * x + x  # dy/dx = 2x + 1 = 5

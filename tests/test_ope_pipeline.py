@@ -8,6 +8,7 @@ trace are **bit-identical** to the legacy in-memory path — same
 floats, not approximately equal floats.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -50,27 +51,70 @@ FQE_OPTS = dict(iterations=2, epochs_per_iteration=1, batch_size=16,
                 lr=3e-3, mc_epochs=2, seed=4, chunk_episodes=64)
 
 
-@pytest.fixture()
-def pipeline(tiny_tables, tmp_path):
+def make_pipeline(tables, trace, episodes, max_steps, shard_rows):
     cfg = tiny_network(tmax=30)
     env = repro.make_env(cfg, seed=0)
     qnet = AttentionQNetwork(SMALL_QNET, seed=1)
     qnet.bind_topology(env.topology)
-    behavior = StochasticQPolicy(qnet, tiny_tables, temperature=1.0,
+    behavior = StochasticQPolicy(qnet, tables, temperature=1.0,
                                  epsilon=0.3, seed=5)
-    episodes = collect_logged_episodes(env, behavior, episodes=3, seed=0,
-                                       max_steps=12)
-    target = StochasticQPolicy(qnet, tiny_tables, temperature=0.25,
+    logged = collect_logged_episodes(env, behavior, episodes=episodes, seed=0,
+                                     max_steps=max_steps)
+    target = StochasticQPolicy(qnet, tables, temperature=0.25,
                                epsilon=0.1, seed=2)
-    write_episodes(episodes, tmp_path / "trace", shard_rows=8)
-    dataset = TraceDataset(tmp_path / "trace")
+    write_episodes(logged, trace, shard_rows=shard_rows)
+    dataset = TraceDataset(trace)
 
     def fresh_eval_net():
         net = AttentionQNetwork(SMALL_QNET, seed=9)
         net.bind_topology(env.topology)
         return net
 
-    return episodes, dataset, target, fresh_eval_net
+    return logged, dataset, target, fresh_eval_net
+
+
+@pytest.fixture()
+def pipeline(tiny_tables, tmp_path):
+    return make_pipeline(tiny_tables, tmp_path / "trace", episodes=3,
+                         max_steps=12, shard_rows=8)
+
+
+@pytest.fixture()
+def pipeline16(tiny_tables, tmp_path):
+    """16 logged episodes: four FQE chunks at ``chunk_episodes=4``."""
+    return make_pipeline(tiny_tables, tmp_path / "trace16", episodes=16,
+                         max_steps=6, shard_rows=16)
+
+
+class CountingTarget:
+    """Forwards to a target policy, counting the states it scores."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.rows = 0
+
+    def action_probs_batch(self, features_list, masks):
+        features_list = list(features_list)
+        self.rows += len(features_list)
+        return self.policy.action_probs_batch(features_list, masks)
+
+
+def count_reads(dataset):
+    """Make ``dataset`` count the passes made over it."""
+    reads = []
+    iter_episodes = dataset.iter_episodes
+
+    def counted():
+        reads.append(1)
+        return iter_episodes()
+
+    dataset.iter_episodes = counted
+    return reads
+
+
+def estimate_rows(report):
+    return {name: (e.estimate, e.lower, e.upper, e.stderr)
+            for name, e in report.estimates.items()}
 
 
 # ----------------------------------------------------------------------
@@ -124,6 +168,33 @@ class TestEstimatorEquivalence:
                            reward_scale=fqe.reward_scale)
         assert report["DR"].estimate == dr.estimate
 
+    def test_suite_matches_standalone_across_chunks(self, pipeline16):
+        """Four chunks of four episodes: the trace, the in-memory list
+        and the standalone estimators agree bit for bit."""
+        episodes, dataset, target, fresh_eval_net = pipeline16
+        opts = {**FQE_OPTS, "chunk_episodes": 4}
+        disk = run_ope_suite(dataset, target, fresh_eval_net(), clip=10.0,
+                             n_boot=100, fqe_options=opts)
+        memory = run_ope_suite(episodes, target, fresh_eval_net(), clip=10.0,
+                               n_boot=100, fqe_options=opts)
+        assert estimate_rows(disk) == estimate_rows(memory)
+        assert disk.fqe_losses == memory.fqe_losses
+        assert disk.transitions == memory.transitions == \
+            dataset.num_transitions
+        fqe = fitted_q_evaluation(episodes, target, fresh_eval_net(), **opts)
+        dr = doubly_robust(episodes, target, fqe.qnet, clip=10.0,
+                           reward_scale=fqe.reward_scale)
+        standalone = {
+            "OIS": ordinary_importance_sampling(episodes, target).estimate,
+            "WIS": weighted_importance_sampling(episodes, target).estimate,
+            "PDIS": per_decision_importance_sampling(
+                episodes, target, clip=10.0).estimate,
+            "FQE": fqe.value, "DM": fqe.value, "DR": dr.estimate,
+        }
+        assert {name: disk[name].estimate for name in SUITE_METHODS} == \
+            standalone
+        assert disk.fqe_losses == fqe.losses
+
     def test_chunk_size_is_pinned_but_source_is_not(self, pipeline):
         """``chunk_episodes`` is part of FQE's numerical recipe (the
         shuffle rng runs per chunk) — what must NOT matter is whether
@@ -149,6 +220,78 @@ class TestEstimatorEquivalence:
         payload = json.loads(report.to_json())
         assert payload["estimates"]["DR"]["lower"] == report["DR"].lower
         assert payload["estimates"]["FQE"]["ess"] is None  # model-based
+
+
+# ----------------------------------------------------------------------
+# work done by one suite run
+# ----------------------------------------------------------------------
+class TestSuiteWork:
+    def test_one_chunk_is_read_and_scored_once(self, pipeline16):
+        """A source that fits in one chunk is read once, and the target
+        scores each logged state and each final state exactly once."""
+        episodes, dataset, target, fresh_eval_net = pipeline16
+        counting = CountingTarget(target)
+        reads = count_reads(dataset)
+        report = run_ope_suite(dataset, counting, fresh_eval_net(),
+                               clip=10.0, n_boot=50, fqe_options=FQE_OPTS)
+        assert len(reads) == 1
+        assert counting.rows == dataset.num_transitions + len(dataset)
+        plain = run_ope_suite(episodes, target, fresh_eval_net(), clip=10.0,
+                              n_boot=50, fqe_options=FQE_OPTS)
+        assert estimate_rows(report) == estimate_rows(plain)
+
+    def test_streamed_chunks_score_each_state_once_per_pass(self, pipeline16):
+        """Past one chunk the source is re-streamed, and each pass that
+        needs the target scores every state once: the IS pass, each
+        Bellman iteration, the start values and DR (the warm start
+        needs none)."""
+        _, dataset, target, fresh_eval_net = pipeline16
+        counting = CountingTarget(target)
+        opts = {**FQE_OPTS, "chunk_episodes": 4}
+        run_ope_suite(dataset, counting, fresh_eval_net(), n_boot=50,
+                      fqe_options=opts)
+        states = dataset.num_transitions + len(dataset)
+        passes = 1 + opts["iterations"] + 1 + 1
+        assert counting.rows == passes * states
+
+    def test_standalone_fqe_scores_a_single_chunk_once(self, pipeline16):
+        _, dataset, target, fresh_eval_net = pipeline16
+        counting = CountingTarget(target)
+        reads = count_reads(dataset)
+        fitted_q_evaluation(dataset, counting, fresh_eval_net(), **FQE_OPTS)
+        assert len(reads) == 1
+        assert counting.rows == dataset.num_transitions + len(dataset)
+
+    def test_support_error_fires_before_the_fit(self):
+        """The IS pass runs first: a broken log fails before FQE touches
+        the evaluation network (``None`` here would crash it)."""
+        episodes = [bandit_episode(0, 0.5, 1.0), bandit_episode(1, 0.0, 1.0)]
+        with pytest.raises(BehaviorSupportError, match="episode 1 step 0"):
+            run_ope_suite(episodes, UniformTarget(), None, n_boot=10)
+
+
+class TestFQEFitIsPinned:
+    def test_fixed_seed_fit(self, pipeline):
+        """A fixed-seed FQE fit reproduces the losses and trained
+        weights of the implementation whose backward pass computed
+        every operand's gradient and scattered every index with
+        ``np.add.at``."""
+        episodes, _, target, fresh_eval_net = pipeline
+        fit = fitted_q_evaluation(episodes, target, fresh_eval_net(),
+                                  **FQE_OPTS)
+        assert fit.losses == pytest.approx(
+            [0.2527929086816208, 0.1378489774842655, 0.08012400695514095],
+            rel=1e-9,
+        )
+        assert fit.value == pytest.approx(-434.62990801115984, rel=1e-9)
+        digest = hashlib.sha256()
+        state = fit.qnet.state_dict()
+        for name in sorted(state):
+            digest.update(name.encode())
+            digest.update(",".join(
+                format(v, ".10g") for v in state[name].ravel()
+            ).encode())
+        assert digest.hexdigest()[:16] == "0bf56cec5b89d32d"
 
 
 # ----------------------------------------------------------------------
