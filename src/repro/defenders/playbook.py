@@ -161,6 +161,11 @@ class PlaybookPolicy(DefenderPolicy):
         return actions
 
     def _handle_plcs(self, obs: Observation) -> list[DefenderAction]:
+        # plain-Python reads of the short PLC vectors: on most steps no
+        # PLC is down, and this returns before any numpy work
+        if not (any(obs.plc_disrupted.tolist())
+                or any(obs.plc_destroyed.tolist())):
+            return []
         actions = []
         for plc_id in np.flatnonzero(obs.plc_destroyed):
             if not obs.plc_busy[plc_id]:

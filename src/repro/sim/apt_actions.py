@@ -326,15 +326,15 @@ def apply_apt_action(
         if state.plc_destroyed[plc_id]:
             return False
         if atype is APTActionType.FLASH_FIRMWARE:
-            state.plc_firmware[plc_id] = True
+            state.set_plc(plc_id, firmware=True)
             return True
         if atype is APTActionType.DISRUPT_PLC:
-            state.plc_disrupted[plc_id] = True
+            state.set_plc(plc_id, disrupted=True)
             return True
         # DESTROY_PLC: destruction requires previously flashed firmware
         if not state.plc_firmware[plc_id]:
             return False
-        state.plc_destroyed[plc_id] = True
+        state.set_plc(plc_id, destroyed=True)
         return True
 
     raise ValueError(f"unhandled APT action {atype}")  # pragma: no cover

@@ -106,10 +106,11 @@ class BatchedVectorEnv(VectorEnv):
         self._ids_rngs = [env.sim.ids.rng for env in self.envs]
         self._attackers = [env.sim.attacker for env in self.envs]
         # per-lane aliases refreshed by _adopt, feeding the fast path:
-        # a lane with no due event, a labor-saturated skippable attacker
-        # whose reported phase is fresh, and live APT access advances
-        # without entering the engine at all (the skipped calls are
-        # provably no-ops there; see step())
+        # a lane that launches nothing, has no due event, a
+        # labor-saturated skippable attacker whose reported phase is
+        # fresh, and live APT access advances without entering the
+        # engine at all (the skipped calls are provably no-ops there;
+        # see step())
         self._states = [env.sim.state for env in self.envs]
         self._queues = [env.sim.queue for env in self.envs]
         self._in_flights = [env.sim.in_flight for env in self.envs]
@@ -117,9 +118,9 @@ class BatchedVectorEnv(VectorEnv):
         self._quar_sets = [env.sim.state._quar_set for env in self.envs]
         self._next_event = np.zeros(n, dtype=np.int64)
         # clock-independent half of the fast-path gate (see step()),
-        # recomputed with the lane snapshots: between slow steps it can
-        # only flip when the lane state moves, so one vectorized compare
-        # against _next_event classifies every lane per step
+        # recomputed on every slow step: between slow steps it cannot
+        # flip, so one vectorized compare against _next_event
+        # classifies every lane per step
         self._gate_ok = np.zeros(n, dtype=bool)
         # shared list for the per-step collections of quiescent lanes
         # (alerts swap to a fresh list copy-on-write when an IDS channel
@@ -130,13 +131,14 @@ class BatchedVectorEnv(VectorEnv):
         # act/observe runs, i.e. on slow-path lanes (and resets)
         self._phase_names: list[str | None] = [None] * n
         # per-lane observation snapshots, refreshed only after slow-path
-        # steps (and resets): the fast-path gate guarantees a quiescent
-        # lane mutates nothing, and every busy-mask flip coincides with
-        # a defender completion event, which forces the slow path -- so
-        # a snapshot stays value-exact until the lane next goes slow.
-        # Consecutive quiescent steps therefore share array objects
-        # (sync hands out fresh copies); observations are snapshots and
-        # must not be mutated by consumers.
+        # steps that can move them (and resets): the fast-path gate
+        # guarantees a quiescent lane mutates nothing, and every
+        # busy-mask flip coincides with a defender launch or completion
+        # event -- so a snapshot stays value-exact until a slow step
+        # launches, pops an event or writes state (see _slow_step).
+        # Consecutive quiet steps therefore share array objects (sync
+        # hands out fresh copies); observations are snapshots and must
+        # not be mutated by consumers.
         self._snap_plc_dis: list[np.ndarray] = [None] * n  # type: ignore
         self._snap_plc_des: list[np.ndarray] = [None] * n  # type: ignore
         self._snap_quar: list[np.ndarray] = [None] * n  # type: ignore
@@ -206,7 +208,7 @@ class BatchedVectorEnv(VectorEnv):
 
     def _refresh_lane_snapshots(self, i: int) -> None:
         """Re-materialize lane ``i``'s observation snapshot after a
-        slow-path step or reset (the only points where state moves)."""
+        slow step that wrote state, or a reset."""
         state = self._states[i]
         self._snap_plc_dis[i] = state.plc_disrupted.copy()
         self._snap_plc_des[i] = state.plc_destroyed.copy()
@@ -220,12 +222,6 @@ class BatchedVectorEnv(VectorEnv):
                 state.plc_disrupted & state.plc_destroyed
             ))
         self._n_off[i] = n_des + n_dis
-        if self._sims[i]._max_busy > state.t:
-            self._snap_node_busy[i] = state.node_busy_until > state.t
-            self._snap_plc_busy[i] = state.plc_busy_until > state.t
-        else:
-            self._snap_node_busy[i] = self._zero_node_busy[i]
-            self._snap_plc_busy[i] = self._zero_plc_busy[i]
         self._snap_cond[i] = (
             state.conditions.copy() if self._record_truth[i] else None
         )
@@ -233,6 +229,22 @@ class BatchedVectorEnv(VectorEnv):
         self._comp_snap[i] = comp
         self._n_comp[i] = comp.size
         self._n_srv[i] = state._n_srv_comp
+        # invalidate the quiescent-step template; it is rebuilt lazily
+        # on the lane's next fast step (many slow steps never need one)
+        self._fast_info[i] = None
+        self._refresh_busy_snapshot(i)
+        self._refresh_gate(i)
+
+    def _refresh_busy_snapshot(self, i: int) -> None:
+        """Re-materialize lane ``i``'s busy masks and observation
+        template; a defender launch or completion moves only these."""
+        state = self._states[i]
+        if self._sims[i]._max_busy > state.t:
+            self._snap_node_busy[i] = state.node_busy_until > state.t
+            self._snap_plc_busy[i] = state.plc_busy_until > state.t
+        else:
+            self._snap_node_busy[i] = self._zero_node_busy[i]
+            self._snap_plc_busy[i] = self._zero_plc_busy[i]
         # Observation.__dict__ prototype; step() copies it and fills the
         # per-step fields (t / alerts / scan_results / completed_actions)
         self._obs_tmpl[i] = {
@@ -246,14 +258,15 @@ class BatchedVectorEnv(VectorEnv):
             "quarantined": self._snap_quar[i],
             "completed_actions": None,
         }
-        # invalidate the quiescent-step template; it is rebuilt lazily
-        # on the lane's next fast step (many slow steps never need one)
-        self._fast_info[i] = None
-        # clock-independent gate half: live APT access plus a provably
-        # no-op attacker turn; every input (comp/quar sets, in-flight
-        # labor, _phase_stale, the attacker's phase cache) only moves on
-        # slow steps, so the value holds until the next refresh
+
+    def _refresh_gate(self, i: int) -> None:
+        """Recompute lane ``i``'s clock-independent fast-path gate half:
+        live APT access plus a provably no-op attacker turn. Every input
+        (comp/quar sets, in-flight labor, ``_phase_stale``, the
+        attacker's phase cache) only moves on slow steps, so the value
+        holds until the lane next goes slow."""
         sim = self._sims[i]
+        state = self._states[i]
         noop_act = self._noop_acts[i]
         self._gate_ok[i] = (
             not self._comp_sets[i] <= self._quar_sets[i]
@@ -402,6 +415,46 @@ class BatchedVectorEnv(VectorEnv):
         self._refresh_lane_snapshots(i)
 
     # ------------------------------------------------------------------
+    def _slow_step(
+        self, i: int, t1: int, launched: bool
+    ) -> tuple[list[Alert], list, float, list]:
+        """Run lane ``i``'s attacker turn and completions through the
+        engine (defender launches already ran) and bring its caches up
+        to date. Returns ``(alerts, scan_results, cost, completed)``.
+
+        Each part of the observation snapshot is re-materialized only
+        when the step can have moved it: everything after a state write
+        (``NetworkState.version``; a re-intrusion writes state with no
+        event due), else the busy masks after a defender launch or a
+        due event (a busy mask expires only with its completion). The
+        gate half and the phase name are recomputed on every slow step:
+        APT launches move them without touching the snapshot. Due
+        events are read after the attacker turn, so an APT action
+        launched in it and completing in this step counts too.
+        """
+        sim = self._sims[i]
+        state = self._states[i]
+        version = state.version
+        alerts: list[Alert] = []
+        scans: list = []
+        sim.step_attacker(t1 - 1, t1, alerts)
+        heap = self._queues[i]._heap
+        popped = bool(heap) and heap[0].time <= t1
+        cost, completed = sim.step_advance(t1, scans)
+        self._next_event[i] = heap[0].time if heap else _FAR_FUTURE
+        phase = getattr(sim.attacker, "phase_name", None)
+        if state.version != version:
+            self._phase_names[i] = phase
+            self._refresh_lane_snapshots(i)
+            return alerts, scans, cost, completed
+        if launched or popped:
+            self._refresh_busy_snapshot(i)
+        self._refresh_gate(i)
+        if phase != self._phase_names[i]:
+            self._phase_names[i] = phase
+            self._fast_info[i] = None
+        return alerts, scans, cost, completed
+
     def step(self, actions=None, mask: Sequence[bool] | None = None) -> VecStep:
         """Advance all (unmasked) lanes by one hour, batched.
 
@@ -425,7 +478,6 @@ class BatchedVectorEnv(VectorEnv):
         launched_per: list[list] = [None] * n  # type: ignore[list-item]
         completed_per: list[list] = [None] * n  # type: ignore[list-item]
         costs = [0.0] * n
-        fast_lane = [False] * n
         passive_buf = self._passive_buf
         passive_buf.fill(1.0)
         passive_rows = self._passive_rows
@@ -436,106 +488,60 @@ class BatchedVectorEnv(VectorEnv):
         ids_rngs = self._ids_rngs
         comp_arrs: list[np.ndarray | None] = [None] * n
         any_comp = False
-        # quiescent-lane fast path: when a lane has no defender action,
-        # no event due by t1, live APT access, and an attacker turn
-        # that is provably a no-op, the three engine phases reduce to
-        # ``state.t = t1``: step_launch has nothing to launch, and
-        # step_advance pops nothing and _maybe_reintrude
-        # short-circuits (access implies ``_reintrusion_at is None``
-        # after every slow step). The attacker turn is a no-op either
-        # because the engine would skip a labor-saturated attacker
-        # whose reported phase is fresh, or because the attacker
-        # itself certifies act() does nothing (act_is_noop: e.g. an
-        # FSM campaign in its DONE phase with unchanged inputs). The
-        # IDS draws below still run, so RNG streams and alerts stay
-        # bit-identical to sync.
-        next_event = self._next_event
+        # quiescent-lane fast path: when a lane's action launches
+        # nothing (None, [], only noops, or only rejected launches), no
+        # event is due by t1, the APT has live access, and the attacker
+        # turn is provably a no-op, the three engine phases reduce to
+        # ``state.t = t1``: step_advance pops nothing and
+        # _maybe_reintrude short-circuits (access implies
+        # ``_reintrusion_at is None`` after every slow step). The
+        # attacker turn is a no-op either because the engine would skip
+        # a labor-saturated attacker whose reported phase is fresh, or
+        # because the attacker itself certifies act() does nothing
+        # (act_is_noop: e.g. an FSM campaign in its DONE phase with
+        # unchanged inputs). The IDS draws below still run, so RNG
+        # streams and alerts stay bit-identical to sync.
         states = self._states
-        queues = self._queues
-        phase_names = self._phase_names
-        refresh_snapshots = self._refresh_lane_snapshots
+        envs = self.envs
+        slow_step = self._slow_step
         # the clock-independent gate half is cached per lane (_gate_ok,
-        # refreshed with the snapshots); one vectorized compare against
-        # the event-queue mirror finishes the classification for every
-        # lane at once
+        # refreshed on slow steps); one vectorized compare against the
+        # event-queue mirror classifies every lane at once, and a lane
+        # whose action launches something is demoted below
         t1s_arr = self._T + 1
-        fast_ok = (self._gate_ok & (next_event > t1s_arr)).tolist()
+        fast_lane = (self._gate_ok & (self._next_event > t1s_arr)).tolist()
         t1s = t1s_arr.tolist()
         empty = self._empty
         n_comp = self._n_comp
         comp_snap = self._comp_snap
-        if acts is None and mask is None:
-            # lean pass for the dominant workload (no actions, no lane
-            # mask): a quiescent lane reduces to one clock write plus
-            # its two per-lane IDS stream draws
-            fast_lane = fast_ok
-            for i in lanes:
-                if fast_ok[i]:
-                    states[i].t = t1s[i]
-                    alerts_per[i] = empty
-                    scans_per[i] = empty
-                    launched_per[i] = empty
-                    completed_per[i] = empty
-                else:
-                    sim = sims[i]
-                    t1 = t1s[i]
-                    alerts_per[i] = alerts = []
-                    scans_per[i] = scans = []
-                    launched_per[i] = []
-                    sim.step_attacker(t1 - 1, t1, alerts)
-                    cost, completed = sim.step_advance(t1, scans)
-                    costs[i] = cost
-                    completed_per[i] = completed
-                    heap = queues[i]._heap
-                    next_event[i] = heap[0].time if heap else _FAR_FUTURE
-                    phase_names[i] = getattr(sim.attacker, "phase_name", None)
-                    refresh_snapshots(i)
-                rng = ids_rngs[i]
-                k = n_comp[i]
-                if k:
-                    rng.random(out=passive_rows[i][:k])
-                    comp_arrs[i] = comp_snap[i]
-                    any_comp = True
-                rng.random(out=false_rows[i])
-        else:
-            for i in lanes:
-                sim = sims[i]
-                t1 = t1s[i]
-                t0 = t1 - 1
-                a_i = None if acts is None else acts[i]
-                if a_i is None and fast_ok[i]:
-                    states[i].t = t1
-                    fast_lane[i] = True
-                    alerts_per[i] = empty
-                    scans_per[i] = empty
-                    launched_per[i] = empty
-                    completed_per[i] = empty
-                else:
-                    alerts_per[i] = alerts = []
-                    scans_per[i] = scans = []
-                    if a_i is None:
-                        launched_per[i] = []
-                    else:
-                        defender_actions = self.envs[i]._coerce(a_i)
-                        launched_per[i] = (
-                            sim.step_launch(defender_actions, t0)
-                            if defender_actions else []
-                        )
-                    sim.step_attacker(t0, t1, alerts)
-                    cost, completed = sim.step_advance(t1, scans)
-                    costs[i] = cost
-                    completed_per[i] = completed
-                    heap = queues[i]._heap
-                    next_event[i] = heap[0].time if heap else _FAR_FUTURE
-                    phase_names[i] = getattr(sim.attacker, "phase_name", None)
-                    refresh_snapshots(i)
-                rng = ids_rngs[i]
-                k = n_comp[i]
-                if k:
-                    rng.random(out=passive_rows[i][:k])
-                    comp_arrs[i] = comp_snap[i]
-                    any_comp = True
-                rng.random(out=false_rows[i])
+        for i in lanes:
+            t1 = t1s[i]
+            launched = empty
+            if acts is not None:
+                a_i = acts[i]
+                if a_i is not None:
+                    defender_actions = envs[i]._coerce(a_i)
+                    if defender_actions:
+                        launched = sims[i].step_launch(defender_actions, t1 - 1)
+                        if launched:
+                            fast_lane[i] = False
+            if fast_lane[i]:
+                states[i].t = t1
+                alerts_per[i] = empty
+                scans_per[i] = empty
+                completed_per[i] = empty
+            else:
+                alerts_per[i], scans_per[i], costs[i], completed_per[i] = (
+                    slow_step(i, t1, bool(launched))
+                )
+            launched_per[i] = launched
+            rng = ids_rngs[i]
+            k = n_comp[i]
+            if k:
+                rng.random(out=passive_rows[i][:k])
+                comp_arrs[i] = comp_snap[i]
+                any_comp = True
+            rng.random(out=false_rows[i])
         if mask is None:
             np.add(self._T, 1, out=self._T)
         else:
@@ -612,6 +618,7 @@ class BatchedVectorEnv(VectorEnv):
                     infos[i] = {}
         n_srv_l = self._n_srv
         obs_tmpl = self._obs_tmpl
+        phase_names = self._phase_names
         for i in lanes:
             t1 = t1s[i]
             obs = obs_new(obs_cls)

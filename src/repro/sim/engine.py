@@ -189,24 +189,34 @@ class Simulation:
     def step_advance(
         self, t1: int, scan_results: list[ScanResult]
     ) -> tuple[float, list[DefenderAction]]:
-        """Phases 3+4: advance the clock, apply completions, re-intrude."""
+        """Phases 3+4: advance the clock, apply completions, re-intrude.
+
+        The attacker's phase goes stale only when a completion can move
+        its inputs (state, knowledge, in-flight labor): any APT
+        completion and every defender mitigation. A finished
+        investigation only draws the defender stream and reports a scan
+        result, so it leaves the phase fresh.
+        """
         self.state.t = t1
         completed_cost = 0.0
         completed_defender: list[DefenderAction] = []
-        due = self.queue.pop_due(t1)
-        if due:
-            self._phase_stale = True
-            if self._mark_phase_dirty is not None:
-                self._mark_phase_dirty()
-        for payload in due:
+        stale = False
+        for payload in self.queue.pop_due(t1):
             kind = payload[0]
             if kind == "apt":
                 _, req, success = payload
                 self._complete_apt(req, success)
+                stale = True
             else:
                 _, action = payload
                 completed_cost += self._complete_defender(action, t1, scan_results)
                 completed_defender.append(action)
+                if not DEFENDER_ACTION_SPECS[action.atype].is_investigation:
+                    stale = True
+        if stale:
+            self._phase_stale = True
+            if self._mark_phase_dirty is not None:
+                self._mark_phase_dirty()
 
         if self._maybe_reintrude(t1):
             self._phase_stale = True

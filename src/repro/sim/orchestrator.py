@@ -246,7 +246,7 @@ def apply_mitigation(
         scanned = bool(state.conditions[node_id, Condition.SCANNED])
         state.clear_node(node_id)
         if scanned:
-            state.conditions[node_id, Condition.SCANNED] = True
+            state.set_condition(node_id, Condition.SCANNED)
         return had
 
     if atype is _T.QUARANTINE:
@@ -261,22 +261,11 @@ def apply_mitigation(
         return True
 
     if atype is _T.RESET_PLC:
-        plc_id = action.target
-        changed = bool(state.plc_disrupted[plc_id] or state.plc_firmware[plc_id])
-        state.plc_disrupted[plc_id] = False
-        state.plc_firmware[plc_id] = False
-        return changed
+        return state.set_plc(action.target, firmware=False, disrupted=False)
 
     if atype is _T.REPLACE_PLC:
-        plc_id = action.target
-        changed = bool(
-            state.plc_destroyed[plc_id]
-            or state.plc_disrupted[plc_id]
-            or state.plc_firmware[plc_id]
+        return state.set_plc(
+            action.target, firmware=False, disrupted=False, destroyed=False
         )
-        state.plc_destroyed[plc_id] = False
-        state.plc_disrupted[plc_id] = False
-        state.plc_firmware[plc_id] = False
-        return changed
 
     raise ValueError(f"not a mitigation: {atype}")  # pragma: no cover

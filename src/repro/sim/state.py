@@ -23,8 +23,9 @@ class NetworkState:
         self.topology = topology
         n, m = topology.n_nodes, topology.n_plcs
         self.t = 0
-        #: bumped by every mutator method; phase-caching consumers
-        #: (FSMAttacker) use it to notice out-of-band state edits
+        #: bumped by every mutator method (conditions, VLAN moves, PLC
+        #: flags); caching consumers (FSMAttacker's phase, the batched
+        #: engine's observation snapshots) compare it to notice a change
         self.version = 0
         self.conditions = np.zeros((n, len(Condition)), dtype=bool)
         self.node_vlan: list[str] = [node.home_vlan for node in topology.nodes]
@@ -99,6 +100,28 @@ class NetworkState:
             self._quar_set.add(node_id)
         else:
             self._quar_set.discard(node_id)
+
+    def set_plc(
+        self,
+        plc_id: int,
+        *,
+        firmware: bool | None = None,
+        disrupted: bool | None = None,
+        destroyed: bool | None = None,
+    ) -> bool:
+        """Write the given PLC status flags (``None`` leaves a flag as it
+        is). Returns True when any flag changed value."""
+        self.version += 1
+        changed = False
+        for flags, value in (
+            (self.plc_firmware, firmware),
+            (self.plc_disrupted, disrupted),
+            (self.plc_destroyed, destroyed),
+        ):
+            if value is not None and flags[plc_id] != value:
+                flags[plc_id] = value
+                changed = True
+        return changed
 
     # ------------------------------------------------------------------
     # busy bookkeeping (one defender action per node / PLC at a time)

@@ -100,6 +100,10 @@ def _rollout_fp(venv, steps, seed, action_seed=None, mask_every=None):
     return trace
 
 
+#: the flat action list starts with the noop (enumerate_actions)
+_NOOP_INDEX = 0
+
+
 def _pair(scenario, n, seed, horizon=None, auto_reset=True, **kwargs):
     sync = repro.make_vec(scenario, n, seed=seed, horizon=horizon,
                           auto_reset=auto_reset, backend="sync", **kwargs)
@@ -205,6 +209,79 @@ class TestBatchedParity:
 
 
 # ----------------------------------------------------------------------
+# fast path under an acting defender: launching nothing is quiescence
+# ----------------------------------------------------------------------
+def _launch_nothing(mode, n):
+    return {
+        "none": None,
+        "empty": [[]] * n,
+        "noop_index": [_NOOP_INDEX] * n,
+    }[mode]
+
+
+class TestLaunchNothingFastPath:
+    @pytest.mark.parametrize("mode", ["none", "empty", "noop_index"])
+    def test_matches_sync(self, mode):
+        """``None``, ``[]`` and the noop index all step bit-identically
+        to sync (and to each other)."""
+        sync, batched = _pair("inasim-small-v1", 4, seed=0)
+        assert batched.action_list[_NOOP_INDEX].is_noop
+        traces = []
+        for venv in (sync, batched):
+            venv.reset(seed=8)
+            actions = _launch_nothing(mode, venv.num_envs)
+            traces.append([_step_fp(venv.step(actions)) for _ in range(80)])
+        assert traces[0] == traces[1]
+        venv = repro.make_vec("inasim-small-v1", 4, seed=0, backend="batched")
+        venv.reset(seed=8)
+        assert traces[1] == [_step_fp(venv.step(None)) for _ in range(80)]
+
+    @pytest.mark.parametrize("mode", ["empty", "noop_index"])
+    def test_skips_the_engine(self, mode, monkeypatch):
+        """Lanes whose action launches nothing take the fast path as
+        often as ``None`` lanes: the attacker turn runs equally often."""
+        from repro.sim.engine import Simulation
+
+        calls = {"n": 0}
+        step_attacker = Simulation.step_attacker
+
+        def counting(self, *args):
+            calls["n"] += 1
+            return step_attacker(self, *args)
+
+        monkeypatch.setattr(Simulation, "step_attacker", counting)
+        counts = {}
+        for key in ("none", mode):
+            venv = repro.make_vec("inasim-small-v1", 4, seed=0,
+                                  backend="batched")
+            venv.reset(seed=8)
+            calls["n"] = 0
+            for _ in range(200):
+                venv.step(_launch_nothing(key, venv.num_envs))
+            counts[key] = calls["n"]
+        assert counts[mode] == counts["none"]
+        assert counts["none"] < 4 * 200  # the fast path did fire
+
+    def test_playbook_evaluation_matches_sync(self):
+        """Full playbook evaluations agree metric for metric. Episodes
+        this long see an eviction and a re-intrusion: a state write with
+        no event due, which a slow step must not answer with its kept
+        observation snapshot."""
+        from repro.defenders import PlaybookPolicy
+        from repro.eval import evaluate_policy_vec
+
+        results = []
+        for backend in ("sync", "batched"):
+            venv = repro.make_vec("inasim-small-v1", 8, seed=0,
+                                  backend=backend)
+            _, episodes = evaluate_policy_vec(
+                venv, PlaybookPolicy(), 8, seed=0, max_steps=3000
+            )
+            results.append(episodes)
+        assert results[0] == results[1]
+
+
+# ----------------------------------------------------------------------
 # property fuzz: batched == sync, key for key, under random drive
 # ----------------------------------------------------------------------
 class TestBatchedParityFuzz:
@@ -214,7 +291,9 @@ class TestBatchedParityFuzz:
         steps=st.integers(4, 20),
         horizon=st.one_of(st.none(), st.integers(5, 12)),
         auto_reset=st.booleans(),
-        action_mode=st.sampled_from(["noop", "random", "mixed"]),
+        action_mode=st.sampled_from(
+            ["noop", "empty", "noop_index", "random", "mixed"]
+        ),
     )
     @settings(max_examples=12, deadline=None)
     def test_fuzzed_trajectories_match(self, seed, n, steps, horizon,
@@ -234,6 +313,10 @@ class TestBatchedParityFuzz:
             for step_idx in range(steps):
                 if action_mode == "noop":
                     actions = None
+                elif action_mode == "empty":
+                    actions = [[]] * venv.num_envs
+                elif action_mode == "noop_index":
+                    actions = [_NOOP_INDEX] * venv.num_envs
                 elif action_mode == "random":
                     actions = venv.sample_actions(rng)
                 else:

@@ -110,6 +110,53 @@ class TestStepMechanics:
             assert len(env.sim.in_flight) <= env.config.apt.labor_rate
 
 
+class TestPhaseStaleness:
+    """A completion marks the attacker's phase stale only when it can
+    move the phase inputs (state, knowledge, in-flight labor)."""
+
+    @staticmethod
+    def _complete(env, launch):
+        sim = env.sim
+        env.reset(seed=0)
+        launch(sim, sim.state.t)
+        sim._phase_stale = False
+        sim.attacker._phase_dirty = False
+        scans = []
+        sim.step_advance(sim.queue._heap[0].time, scans)
+        return sim, scans
+
+    def test_scan_completion_keeps_phase_fresh(self, env):
+        def launch(sim, t0):
+            sim.step_launch([DefenderAction(_T.SIMPLE_SCAN, 0)], t0)
+
+        sim, scans = self._complete(env, launch)
+        assert [s.node_id for s in scans] == [0]
+        assert not sim._phase_stale
+        assert not sim.attacker._phase_dirty
+
+    def test_mitigation_completion_marks_stale(self, env):
+        def launch(sim, t0):
+            sim.step_launch([DefenderAction(_T.REBOOT, 0)], t0)
+
+        sim, _ = self._complete(env, launch)
+        assert sim._phase_stale
+        assert sim.attacker._phase_dirty
+
+    def test_apt_completion_marks_stale(self, env):
+        from repro.net.topology import L2_OPS
+        from repro.sim.apt_actions import APTActionRequest, APTActionType
+
+        def launch(sim, t0):
+            req = APTActionRequest(APTActionType.SCAN_VLAN, sim._beachhead,
+                                   target_vlan=L2_OPS)
+            sim._launch_apt(req, t0, [], t0 + 1)
+
+        sim, _ = self._complete(env, launch)
+        assert not sim.in_flight
+        assert sim._phase_stale
+        assert sim.attacker._phase_dirty
+
+
 class TestInfoChannel:
     def test_info_fields(self, env):
         env.reset(seed=0)
