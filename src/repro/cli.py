@@ -85,34 +85,31 @@ def _build_env(args, config: SimConfig, seed: int | None = None):
 
 def _build_vec_env(args, config: SimConfig, num_envs: int, seed: int,
                    pool=None):
+    import repro
     from repro.sim.vec_backends import normalize_backend
 
-    backend = normalize_backend(getattr(args, "backend", "sync"), num_envs,
-                                getattr(args, "num_workers", None))
-    if backend in ("sync", "batched"):
-        if backend == "batched":
-            from repro.sim.batched_engine import BatchedVectorEnv as cls
-        else:
-            from repro.sim.vec_env import VectorEnv as cls
-
-        envs = [_build_env(args, config, seed=seed + i)
-                for i in range(num_envs)]
-        return cls(envs, base_seed=seed)
-    from repro.sim.vec_backends import ProcessVectorEnv, ShmVectorEnv
-
-    cls = {"process": ProcessVectorEnv, "shm": ShmVectorEnv}[backend]
+    backend = getattr(args, "backend", "sync")
     num_workers = getattr(args, "num_workers", None)
     spec = _resolve_spec(args)
     if spec is not None:
         # config already folds in --max-steps; pin it via the horizon
-        spec = spec.with_overrides(horizon=config.tmax)
-        if pool is not None:
-            return pool.acquire([spec] * num_envs, seed=seed,
-                                backend=backend, num_workers=num_workers)
-        return cls.from_spec(spec, num_envs, seed=seed,
-                             num_workers=num_workers)
-    return cls.from_config(config, num_envs, seed=seed,
-                           num_workers=num_workers)
+        return repro.make_vec(spec.with_overrides(horizon=config.tmax),
+                              num_envs, seed=seed, backend=backend,
+                              num_workers=num_workers, pool=pool)
+    # --preset / --config runs name no scenario: lanes come from the
+    # config itself, with the default attacker
+    backend = normalize_backend(backend)
+    if backend == "process":
+        from repro.sim.vec_backends import ProcessVectorEnv
+
+        return ProcessVectorEnv.from_config(config, num_envs, seed=seed,
+                                            num_workers=num_workers)
+    if backend == "batched":
+        from repro.sim.batched_engine import BatchedVectorEnv as cls
+    else:
+        from repro.sim.vec_env import VectorEnv as cls
+    envs = [repro.make_env(config, seed=seed + i) for i in range(num_envs)]
+    return cls(envs, base_seed=seed)
 
 
 def _make_policy(name: str, config: SimConfig, seed: int,
@@ -871,6 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Industrial Control Systems' (DSN 2022).",
     )
     from repro import __version__
+    from repro.sim.vec_backends import BACKENDS
 
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
@@ -886,14 +884,13 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("noop", "playbook", "random", "expert", "acso"))
     p.add_argument("--num-envs", type=int, default=1,
                    help="fan episodes over N vectorized environments")
-    p.add_argument("--backend", choices=("sync", "batched", "process", "shm", "auto"),
-                   default="sync",
+    p.add_argument("--backend", choices=BACKENDS, default="sync",
                    help="vector-env execution backend: in-process lanes "
-                        "(sync), worker processes (process), worker "
-                        "processes with shared-memory batches (shm), or "
-                        "picked from cpu count and batch width (auto)")
+                        "(sync), in-process structure-of-arrays lanes "
+                        "(batched), worker processes (process), or "
+                        "batched (auto)")
     p.add_argument("--num-workers", type=int, default=None,
-                   help="worker processes for the process/shm backends "
+                   help="worker processes for the process backend "
                         "(default: min(num-envs, cpu count))")
     p.add_argument("--reuse-pool", action="store_true",
                    help="acquire the parallel backend from a persistent "
@@ -931,11 +928,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "vectorized fan-out (default: 4)")
     p.add_argument("--fitness-episodes", type=int, default=1,
                    help="episodes per CEM fitness evaluation (default: 1)")
-    p.add_argument("--backend", choices=("sync", "batched", "process", "shm", "auto"),
-                   default="sync",
+    p.add_argument("--backend", choices=BACKENDS, default="sync",
                    help="vector-env backend for both oracles")
     p.add_argument("--num-workers", type=int, default=None,
-                   help="worker processes for the process/shm backends")
+                   help="worker processes for the process backend")
     p.add_argument("--no-reuse-pool", action="store_true",
                    help="spawn a fresh worker pool per oracle call instead "
                         "of re-laning one persistent pool across rounds "
@@ -984,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="listen port (0 picks an ephemeral one; default: 8642)")
     p.add_argument("--db", default="repro_runs.sqlite",
                    help="SQLite run-store path (default: repro_runs.sqlite)")
-    p.add_argument("--pool-backend", choices=("sync", "batched", "process", "shm", "auto"),
+    p.add_argument("--pool-backend", choices=BACKENDS,
                    default="sync", dest="pool_backend",
                    help="vector-env backend jobs draw from the shared pool "
                         "(default: sync)")
@@ -1017,8 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("noop", "playbook", "random", "expert", "acso"))
     p.add_argument("--num-envs", type=int, default=1,
                    help="fan the job's episodes over N pooled lanes")
-    p.add_argument("--backend", choices=("sync", "batched", "process", "shm", "auto"),
-                   default=None,
+    p.add_argument("--backend", choices=BACKENDS, default=None,
                    help="override the server's pool backend for this job")
     p.add_argument("--num-workers", type=int, default=None)
     p.add_argument("--tag", action="append", default=None, metavar="TAG",
@@ -1075,8 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", required=True,
                    help="trace directory to create (must not exist)")
     q.add_argument("--num-envs", type=int, default=4)
-    q.add_argument("--backend", default="sync",
-                   choices=("sync", "batched", "process", "shm", "auto"))
+    q.add_argument("--backend", default="sync", choices=BACKENDS)
     q.add_argument("--num-workers", type=int, default=None)
     q.add_argument("--shard-rows", type=int, default=65536,
                    help="rotate shards at this many records (default 65536)")

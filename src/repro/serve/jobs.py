@@ -141,7 +141,9 @@ def parse_job(payload: dict) -> JobRequest:
     _require(isinstance(request.num_envs, int) and request.num_envs >= 1,
              "'num_envs' must be a positive integer")
     if request.backend is not None:
-        _require(request.backend in ("sync", "batched", "process", "shm", "auto"),
+        from repro.sim.vec_backends import BACKENDS
+
+        _require(request.backend in BACKENDS,
                  f"unknown backend {request.backend!r}")
     _require(isinstance(request.tags, list)
              and all(isinstance(t, str) for t in request.tags),

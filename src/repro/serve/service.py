@@ -41,6 +41,7 @@ resubmitted from their recorded request payloads.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
 import random
 import threading
@@ -123,8 +124,10 @@ class EvalService:
     store:
         A :class:`RunStore` or a path to create one at.
     default_backend:
-        Backend for jobs that do not name one (``sync``, ``process``,
-        ``shm``, or ``auto``).
+        Backend for jobs that do not name one (any of
+        :data:`~repro.sim.vec_backends.BACKENDS`; ``auto`` runs
+        ``batched``). Multi-lane jobs build through ``repro.make_vec``;
+        only ``process`` jobs draw from the shared ``pool``.
     max_queue:
         Queue depth bound; submissions beyond it raise
         :class:`QueueFullError` (backpressure, not buffering).
@@ -160,7 +163,7 @@ class EvalService:
                  pool=None, job_retries: int = 2, retry_backoff: float = 0.1,
                  step_timeout: float | None = None, supervise: bool = True,
                  requeue_interrupted: bool = False):
-        from repro.sim.vec_backends import VecPool
+        from repro.sim.vec_backends import BACKENDS, VecPool
 
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
@@ -168,7 +171,7 @@ class EvalService:
             raise ValueError("workers must be >= 1")
         if job_retries < 0:
             raise ValueError("job_retries must be >= 0")
-        if default_backend not in ("sync", "batched", "process", "shm", "auto"):
+        if default_backend not in BACKENDS:
             raise ValueError(f"unknown backend {default_backend!r}")
         self.store = store if isinstance(store, RunStore) else RunStore(store)
         self.default_backend = default_backend
@@ -464,43 +467,37 @@ class EvalService:
             )
             return _aggregate_dict(aggregate)
 
-        backend = normalize_backend(request.backend or self.default_backend,
-                                    request.num_envs, request.num_workers)
-        run_spec = spec.with_overrides(horizon=config.tmax)
-        if backend == "sync":
-            venv = repro.make_vec(run_spec, request.num_envs,
-                                  seed=request.seed)
-            with venv:
-                aggregate, _ = evaluate_policy_vec(
-                    venv, policy, request.episodes, seed=request.seed,
-                    max_steps=request.max_steps, on_episode=on_episode,
+        backend = normalize_backend(request.backend or self.default_backend)
+        pooled = backend == "process"
+        # process jobs share the service's VecPool; the pool lock
+        # serializes jobs on it (one burst -> one spawned pool)
+        with self._pool_lock if pooled else contextlib.nullcontext():
+            venv = repro.make_vec(
+                spec.with_overrides(horizon=config.tmax), request.num_envs,
+                seed=request.seed, backend=backend,
+                num_workers=request.num_workers or self.num_workers,
+                pool=self.pool,
+            )
+            faults_before = 0
+            if pooled:
+                venv.configure_supervision(
+                    enabled=self.supervise,
+                    step_timeout=(request.step_timeout
+                                  if request.step_timeout is not None
+                                  else self.step_timeout),
                 )
-            return _aggregate_dict(aggregate)
-        # worker-pool backends share the service's VecPool; the pool
-        # lock serializes jobs on it (one burst -> one spawned pool)
-        with self._pool_lock:
-            venv = self.pool.acquire(
-                [run_spec] * request.num_envs, seed=request.seed,
-                backend=backend, num_workers=request.num_workers
-                or self.num_workers,
-            )
-            venv.configure_supervision(
-                enabled=self.supervise,
-                step_timeout=(request.step_timeout
-                              if request.step_timeout is not None
-                              else self.step_timeout),
-            )
-            faults_before = venv.fault_stats["faults"]
+                faults_before = venv.fault_stats["faults"]
             try:
                 aggregate, _ = evaluate_policy_vec(
                     venv, policy, request.episodes, seed=request.seed,
                     max_steps=request.max_steps, on_episode=on_episode,
                 )
             finally:
-                # worker deaths supervision absorbed are still faults
-                self._note_faults(
-                    job, venv.fault_stats["faults"] - faults_before)
-                venv.close()  # soft release back to the pool
+                if pooled:
+                    # worker deaths supervision absorbed are still faults
+                    self._note_faults(
+                        job, venv.fault_stats["faults"] - faults_before)
+                venv.close()  # a pooled env's close is a soft release
         return _aggregate_dict(aggregate)
 
     def _execute_selfplay(self, job: Job) -> dict:
@@ -535,11 +532,9 @@ class EvalService:
         )
         baseline_utility = attack_utility(baseline_agg)
 
-        backend = normalize_backend(request.backend or self.default_backend,
-                                    request.cem_population,
-                                    request.num_workers)
+        backend = normalize_backend(request.backend or self.default_backend)
         run_spec = spec.with_overrides(horizon=config.tmax)
-        pooled = backend in ("process", "shm")
+        pooled = backend == "process"
         base_fitness = make_defender_fitness_vec(
             run_spec, defender, episodes=request.fitness_episodes,
             seed=request.seed, max_steps=request.max_steps, backend=backend,
@@ -569,10 +564,7 @@ class EvalService:
             population=request.cem_population, seed=request.seed,
             batch_fitness_fn=fitness,
         )
-        if pooled:
-            with self._pool_lock:
-                result = search.run(iterations=request.cem_iterations)
-        else:
+        with self._pool_lock if pooled else contextlib.nullcontext():
             result = search.run(iterations=request.cem_iterations)
         return {
             "baseline_utility": baseline_utility,

@@ -1,4 +1,4 @@
-"""Parallel VectorEnv backends: persistent worker pools, pickle-free.
+"""The ``process`` VectorEnv backend: persistent worker pools, pickle-free.
 
 :class:`ProcessVectorEnv` partitions the lanes of a logical vector
 environment across worker processes. Each worker hosts a plain
@@ -14,17 +14,13 @@ a worker pool.
 
 Two properties distinguish this layer from a throwaway fork-join:
 
-* **Zero-pickle steady state.** Commands and replies on the per-step
-  path (actions, observations, rewards, dones, step infos, masks)
-  travel as explicit binary records (:mod:`repro.sim.vec_transport`)
-  over ``Connection.send_bytes`` -- pickle runs only at pool
-  construction. :class:`ShmVectorEnv` goes one step further and parks
-  each worker's reply record in a preallocated
-  ``multiprocessing.shared_memory`` slab, so the pipes carry one
-  acknowledgement byte per worker per step. Payloads the wire format
-  cannot express (exotic custom actions) fall back to the legacy
-  pickled protocol for that one message; correctness never depends on
-  the fast path.
+* **Zero-pickle steady state.** Every command and reply after pool
+  construction (actions, observations, rewards, dones, step infos,
+  masks, recovery journals) travels as an explicit binary record
+  (:mod:`repro.sim.vec_transport`) over ``Connection.send_bytes``.
+  There is one wire format and one transport, the pipe: a payload the
+  format cannot express fails with the
+  :class:`~repro.sim.vec_transport.EncodeError` message.
 * **Persistent pools.** A live pool can be re-laned onto new scenario
   specs (:meth:`ProcessVectorEnv.relane` / ``rebuild_lane``) instead of
   being torn down and re-spawned: workers rebuild their lane slice from
@@ -34,12 +30,12 @@ Two properties distinguish this layer from a throwaway fork-join:
   self-play rounds (``repro.make_vec_from_specs(...,
   reuse_pool=True)``).
 
-On a single-core host both backends lose to ``sync`` (IPC overhead with
-no parallelism to buy back); they pay off when workers can spread over
-cores. ``repro.make_vec(id, n, backend="process")`` is the front door.
-Shared-memory segments are released from every exit path -- happy-path
-``close()``, constructor failures, worker crashes mid-command, and the
-finalizer -- so a dying pool cannot leave ``/dev/shm`` residue.
+No committed or measured cell has this backend beating ``sync`` or
+``batched`` (IPC overhead with too little parallelism to buy it back),
+which is why ``backend="auto"`` resolves to ``batched``.
+``repro.make_vec(id, n, backend="process")`` is the front door.
+Workers are reaped from every exit path -- happy-path ``close()``,
+constructor failures, worker crashes mid-command, and the finalizer.
 
 **Fault tolerance.** Worker death is supervised, not fatal: the parent
 keeps a per-lane action journal (:mod:`repro.sim.vec_supervisor`),
@@ -63,7 +59,6 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
-import pickle  # repro: allow[forbidden-import] -- control-channel fallback only: per-step hot-path replies use the binary wire format; pickle carries rare error/legacy frames
 import threading
 import time
 from collections import OrderedDict
@@ -72,6 +67,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.sim import vec_transport as vt
+from repro.sim.orchestrator import DefenderAction
 from repro.sim.vec_env import BaseVectorEnv, VecStep, VectorEnv, _UNSET
 from repro.sim.vec_supervisor import (
     SupervisionConfig,
@@ -80,27 +76,24 @@ from repro.sim.vec_supervisor import (
 )
 
 __all__ = [
+    "BACKENDS",
     "ProcessVectorEnv",
-    "ShmVectorEnv",
     "VecPool",
     "WorkerDiedError",
     "SupervisionConfig",
     "default_pool",
-    "resolve_backend",
     "normalize_backend",
 ]
 
-#: ``backend="auto"`` keeps the sync backend below this batch width --
-#: the IPC cost of a worker pool only amortizes over a wide batch
-AUTO_MIN_ENVS = 4
-
-#: shared-memory reply slot per worker (spillover goes through the pipe)
-DEFAULT_SLOT_BYTES = 1 << 20
+#: every name a ``backend=`` argument accepts (``repro.make_vec``, the
+#: CLI, the serve layer). ``"auto"`` resolves to ``"batched"``: it is
+#: bit-identical to ``sync`` and the fastest backend in every committed
+#: and measured cell.
+BACKENDS = ("sync", "batched", "process", "auto")
 
 _MASKS_CMD = bytes((vt.OP_MASKS,))
 _CLOSE_CMD = bytes((vt.OP_CLOSE,))
 _OK_REPLY = bytes((vt.ST_OK,))
-_SHM_ACK = bytes((vt.ST_SHM,))
 
 
 class WorkerDiedError(RuntimeError):
@@ -114,42 +107,32 @@ class _RespawnError(Exception):
     """Internal: one respawn attempt failed; burns a restart budget unit."""
 
 
-def resolve_backend(num_envs: int, num_workers: int | None = None,
-                    cpu_count: int | None = None) -> str:
-    """Pick a concrete backend for ``backend="auto"``.
-
-    The process backend only pays off when worker processes can spread
-    over spare cores *and* the batch is wide enough to amortize the
-    per-step IPC; otherwise the in-process sync backend wins (see
-    ``BENCH_vec_throughput.json``). Trajectories are backend-
-    independent, so this is purely a performance choice.
-    """
-    if num_envs < 1:
-        raise ValueError("num_envs must be >= 1")
-    if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
-    workers = min(num_envs, cpu_count if num_workers is None else num_workers)
-    if cpu_count <= 1 or workers <= 1 or num_envs < AUTO_MIN_ENVS:
-        return "sync"
-    return "process"
-
-
-def normalize_backend(backend: str, num_envs: int,
-                      num_workers: int | None = None) -> str:
-    """Resolve ``"auto"`` and validate a backend name.
+def normalize_backend(backend: str) -> str:
+    """Validate a backend name and resolve ``"auto"``.
 
     The single dispatch gate shared by ``repro.make_vec``,
-    ``repro.make_vec_from_specs``, and the CLI, so the auto heuristic
-    and the error message cannot drift apart.
+    ``repro.make_vec_from_specs``, the CLI and the serve layer, so the
+    accepted names and the error message cannot drift apart.
     """
-    if backend == "auto":
-        backend = resolve_backend(num_envs, num_workers=num_workers)
-    if backend not in ("sync", "batched", "process", "shm"):
+    if backend not in BACKENDS:
         raise ValueError(
-            f"unknown backend {backend!r}; choose from "
-            "('sync', 'batched', 'process', 'shm', 'auto')"
+            f"unknown backend {backend!r}; choose from {BACKENDS}"
         )
-    return backend
+    return "batched" if backend == "auto" else backend
+
+
+def _materialize(action):
+    """One lane's action with any one-shot iterable turned into a list.
+
+    ``InasimEnv._coerce`` accepts any iterable of defender actions; a
+    generator can be consumed only once, so it is listed here before it
+    is encoded and journaled -- the wire and the recovery journal then
+    carry the same actions.
+    """
+    if action is None or isinstance(
+            action, (list, tuple, DefenderAction, int, np.integer)):
+        return action
+    return list(action)
 
 
 # ----------------------------------------------------------------------
@@ -158,20 +141,15 @@ def normalize_backend(backend: str, num_envs: int,
 def _build_envs(payload: dict, seeds: list[int | None], record_truth: bool,
                 lane_lo: int = 0):
     if "specs" in payload:
-        # heterogeneous lanes: one spec per global lane (attacker
-        # populations, CEM candidate fan-outs); this worker builds the
-        # slice starting at its lane offset
+        # one spec per global lane (equal for make_vec, distinct for
+        # attacker populations and CEM candidate fan-outs); this worker
+        # builds the slice starting at its lane offset
         from repro.scenarios.serialization import spec_from_dict
 
         specs = [spec_from_dict(entry)
                  for entry in payload["specs"][lane_lo:lane_lo + len(seeds)]]
         return [spec.build_env(seed=s, record_truth=record_truth)
                 for spec, s in zip(specs, seeds)]
-    if "spec" in payload:
-        from repro.scenarios.serialization import spec_from_dict
-
-        spec = spec_from_dict(payload["spec"])
-        return [spec.build_env(seed=s, record_truth=record_truth) for s in seeds]
     import repro
     from repro.config_io import config_from_dict
 
@@ -184,10 +162,9 @@ class _LaneGroupExecutor:
     """Command executor over one lane slice of the logical vector env.
 
     Pure compute: decodes a command, drives the worker-local
-    :class:`VectorEnv`, returns the encoded reply record (or a legacy
-    tuple for payloads the wire format cannot express). It runs in two
+    :class:`VectorEnv`, returns the encoded reply record. It runs in two
     places: inside every worker process (wrapped by :class:`_Worker`,
-    which owns the pipe/shm transport), and inside the *parent* when a
+    which owns the pipe), and inside the *parent* when a
     repeatedly-failing worker is degraded to in-process execution —
     identical semantics either way, which is what makes the degrade
     path bit-exact. The optional ``injector``
@@ -287,28 +264,14 @@ class _LaneGroupExecutor:
                 for i in range(venv.num_envs)
                 if step.dones[i] and (mask is None or mask[i])
             ]
-        infos = step.infos
-        if not venv.auto_reset:
-            # only an auto-reset produces a legitimate final; strip any
-            # stale one here so the legacy pickled fallback below can't
-            # leak what the binary encoder already refuses to ship
-            infos = [
-                {k: v for k, v in info.items() if k != "final_observation"}
-                if "final_observation" in info else info
-                for info in infos
-            ]
-        try:
-            return vt.encode_step_reply(step.observations, step.rewards,
-                                        step.dones, infos, changed,
-                                        auto_reset=venv.auto_reset)
-        except vt.EncodeError:
-            # un-encodable payload (e.g. a custom env wrapper smuggling
-            # objects into info): legacy pickled reply for this step
-            return ("ok", step.observations, step.rewards,
-                    step.dones, infos, list(venv.reset_infos))
+        # an info the wire cannot express raises EncodeError, which
+        # handle() returns to the parent as an error reply
+        return vt.encode_step_reply(step.observations, step.rewards,
+                                    step.dones, step.infos, changed,
+                                    auto_reset=venv.auto_reset)
 
     def handle(self, raw):
-        """One binary command -> one reply (record bytes or legacy tuple)."""
+        """One binary command -> one reply record."""
         try:
             op = raw[0]
             if op == vt.OP_STEP:
@@ -339,63 +302,24 @@ class _LaneGroupExecutor:
             if op == vt.OP_CLOSE:
                 self.closed = True
                 return _OK_REPLY
-            if op == vt.PICKLE_PROTO:
-                return self.handle_legacy(pickle.loads(raw))
             return vt.encode_error(f"unknown opcode 0x{op:02x}")
-        except Exception as exc:
-            return vt.encode_error(f"{type(exc).__name__}: {exc}")
-
-    def handle_legacy(self, command):
-        """A pickled-tuple command (the fallback for unencodable payloads)."""
-        try:
-            if command[0] == "step":
-                return self.do_step(command[1], command[2])
-            if command[0] == "restore":
-                return self.restore(command[1])
-            if command[0] == "close":
-                self.closed = True
-                return _OK_REPLY
-            return vt.encode_error(f"unknown legacy command {command[0]!r}")
         except Exception as exc:
             return vt.encode_error(f"{type(exc).__name__}: {exc}")
 
 
 class _Worker:
     """Transport shell around a :class:`_LaneGroupExecutor` in a worker
-    process: pipe command loop, shared-memory reply slot, optional CRC
-    frame sealing (and the chaos harness's post-seal byte corruption).
+    process: pipe command loop, optional CRC frame sealing (and the
+    chaos harness's post-seal byte corruption).
     """
 
     def __init__(self, conn, executor: _LaneGroupExecutor,
-                 shm_spec: dict | None, frame_check: bool):
+                 frame_check: bool):
         self.conn = conn
         self.executor = executor
         self.frame_check = frame_check
-        self.shm = None
-        self.slot_lo = 0
-        self.slot_bytes = 0
-        if shm_spec is not None:
-            from multiprocessing import shared_memory
-
-            # Workers (forked or spawned) share the parent's resource
-            # tracker, where attaching re-registers the name as a set
-            # dedup no-op; the parent's teardown is the single owner of
-            # the segment, so workers only attach and close.
-            self.shm = shared_memory.SharedMemory(name=shm_spec["name"])
-            self.slot_bytes = shm_spec["slot_bytes"]
-            self.slot_lo = shm_spec["worker_index"] * self.slot_bytes
-        self._ack = (vt.seal_frame(bytearray(_SHM_ACK)) if frame_check
-                     else _SHM_ACK)
-
-    @property
-    def dims(self) -> vt.Dims:
-        return self.executor.dims
 
     def reply(self, record) -> None:
-        # errors and one-byte acks go straight down the pipe even on the
-        # shm backend, so the parent never mistakes a slab ack for a
-        # successful restore/close acknowledgement
-        direct = len(record) <= 1 or record[0] == vt.ST_ERR
         if self.frame_check:
             record = vt.seal_frame(record)
         if self.executor.corrupt_reply:
@@ -404,15 +328,7 @@ class _Worker:
             self.executor.corrupt_reply = False
             record = bytearray(record)
             record[len(record) // 2] ^= 0xFF
-        if (not direct and self.shm is not None
-                and len(record) + 4 <= self.slot_bytes):
-            buf = self.shm.buf
-            lo = self.slot_lo
-            vt._U32.pack_into(buf, lo, len(record))
-            buf[lo + 4:lo + 4 + len(record)] = record
-            self.conn.send_bytes(self._ack)
-        else:
-            self.conn.send_bytes(record)
+        self.conn.send_bytes(record)
 
     def run(self) -> None:
         conn = self.conn
@@ -424,28 +340,18 @@ class _Worker:
                 break
             result = executor.handle(raw)
             try:
-                if isinstance(result, tuple):
-                    if self.frame_check:
-                        # the parent unseals every frame, so even the
-                        # pickled fallback must carry a CRC trailer
-                        self.reply(bytearray(pickle.dumps(result)))
-                    else:
-                        conn.send(result)
-                else:
-                    self.reply(result)
+                self.reply(result)
             except (BrokenPipeError, OSError):
                 break
             if executor.closed:
                 break
-        if self.shm is not None:
-            self.shm.close()
         conn.close()
 
 
 def _worker_main(conn, payload: dict, lane_lo: int, lane_hi: int,
                  total_envs: int, base_seed: int | None, auto_reset: bool,
-                 record_truth: bool, shm_spec: dict | None,
-                 worker_index: int = 0, num_workers: int = 1,
+                 record_truth: bool, worker_index: int = 0,
+                 num_workers: int = 1,
                  frame_check: bool = False) -> None:
     """Process entry point: build the lane group, then serve commands."""
     try:
@@ -461,8 +367,8 @@ def _worker_main(conn, payload: dict, lane_lo: int, lane_hi: int,
         executor = _LaneGroupExecutor(payload, lane_lo, lane_hi, total_envs,
                                       base_seed, auto_reset, record_truth,
                                       injector=injector)
-        worker = _Worker(conn, executor, shm_spec, frame_check)
-        conn.send(("ready", tuple(worker.dims), executor.venv.reset_infos))
+        worker = _Worker(conn, executor, frame_check)
+        conn.send(("ready", tuple(executor.dims), executor.venv.reset_infos))
     except Exception as exc:  # construction failure: report, bail out
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
         conn.close()
@@ -488,14 +394,13 @@ class ProcessVectorEnv(BaseVectorEnv):
     """Lockstep vector env with lanes spread over worker processes.
 
     ``payload`` describes how workers rebuild their environments:
-    ``{"spec": <ScenarioSpec dict>}``, ``{"specs": [...]}`` (one per
-    lane), or ``{"config": <SimConfig dict>}`` (the latter uses the
-    default FSM attacker, matching ``repro.make_env``). Prefer the
-    :meth:`from_spec` / :meth:`from_specs` / :meth:`from_config`
-    constructors.
+    ``{"specs": [<ScenarioSpec dict>, ...]}`` (one per lane) or
+    ``{"config": <SimConfig dict>}`` (the latter uses the default FSM
+    attacker, matching ``repro.make_env``). Prefer the
+    :meth:`from_specs` / :meth:`from_config` constructors.
 
-    The per-step protocol is pickle-free (see
-    :mod:`repro.sim.vec_transport`); a live instance can be re-laned
+    Every command after the construction handshake is a binary record
+    (see :mod:`repro.sim.vec_transport`); a live instance can be re-laned
     onto new specs with :meth:`relane` / :meth:`rebuild_lane` instead
     of being re-spawned. The instance is also a context manager;
     :meth:`close` terminates the workers and is safe to call more than
@@ -504,19 +409,16 @@ class ProcessVectorEnv(BaseVectorEnv):
     performs the real teardown.
     """
 
-    _uses_shm = False
-
     def __init__(self, payload: dict, num_envs: int, *, seed: int | None = None,
                  auto_reset: bool = True, record_truth: bool = True,
                  num_workers: int | None = None,
                  start_method: str | None = None,
-                 slot_bytes: int = DEFAULT_SLOT_BYTES,
                  supervision: "SupervisionConfig | bool | None" = None,
                  frame_check: bool | None = None):
         if num_envs < 1:
             raise ValueError("num_envs must be >= 1")
-        if not ("spec" in payload or "config" in payload or "specs" in payload):
-            raise ValueError("payload needs a 'spec', 'specs', or 'config' entry")
+        if not ("config" in payload or "specs" in payload):
+            raise ValueError("payload needs a 'specs' or 'config' entry")
         if "specs" in payload and len(payload["specs"]) != num_envs:
             raise ValueError(
                 f"per-lane payload has {len(payload['specs'])} specs "
@@ -536,7 +438,6 @@ class ProcessVectorEnv(BaseVectorEnv):
         self._closed = False
         self._pool: "VecPool | None" = None
         self._pool_leased = False
-        self._slab = None
         self._dims: vt.Dims | None = None
 
         if num_workers is None:
@@ -569,7 +470,6 @@ class ProcessVectorEnv(BaseVectorEnv):
         self._ctx = mp.get_context(start_method)
 
         try:
-            self._shm_base = self._setup_shm(slot_bytes)
             for w in range(num_workers):
                 self._launch_worker(w)
             self.reset_infos = []
@@ -582,12 +482,6 @@ class ProcessVectorEnv(BaseVectorEnv):
             raise
 
     # -- constructors --------------------------------------------------
-    @classmethod
-    def from_spec(cls, spec, num_envs: int, **kwargs) -> "ProcessVectorEnv":
-        from repro.scenarios.serialization import spec_to_dict
-
-        return cls({"spec": spec_to_dict(spec)}, num_envs, **kwargs)
-
     @classmethod
     def from_specs(cls, specs, **kwargs) -> "ProcessVectorEnv":
         """Heterogeneous lanes: lane ``i`` runs ``specs[i]``.
@@ -610,16 +504,6 @@ class ProcessVectorEnv(BaseVectorEnv):
         from repro.config_io import config_to_dict
 
         return cls({"config": config_to_dict(config)}, num_envs, **kwargs)
-
-    # -- shm hooks (overridden by ShmVectorEnv) ------------------------
-    def _setup_shm(self, slot_bytes: int) -> dict | None:
-        return None
-
-    def _teardown_shm(self) -> None:
-        pass
-
-    def _read_slot(self, worker_index: int):
-        raise RuntimeError("no shared-memory slab on this backend")
 
     # -- metadata ------------------------------------------------------
     def _template(self):
@@ -712,7 +596,7 @@ class ProcessVectorEnv(BaseVectorEnv):
         return self
 
     # -- plumbing ------------------------------------------------------
-    def _dispatch(self, w: int, cmd, legacy: bool = False) -> None:
+    def _dispatch(self, w: int, cmd) -> None:
         """Deliver one command to worker ``w``, tracking it in flight.
 
         The in-flight command is what a respawned worker re-executes
@@ -725,14 +609,11 @@ class ProcessVectorEnv(BaseVectorEnv):
                 "a VectorEnv worker process died unexpectedly "
                 "(env already torn down)"
             )
-        self._inflight[w] = (cmd, legacy)
+        self._inflight[w] = cmd
         if self._local[w] is not None:
             return
         try:
-            if legacy:
-                self._conns[w].send(cmd)
-            else:
-                self._conns[w].send_bytes(cmd)
+            self._conns[w].send_bytes(cmd)
         except (BrokenPipeError, OSError) as exc:
             self._recover_worker(w, f"send failed ({type(exc).__name__})")
 
@@ -774,8 +655,7 @@ class ProcessVectorEnv(BaseVectorEnv):
         return reply
 
     def _recv_worker(self, w: int):
-        """One reply from worker ``w``: binary record, shm-slot view,
-        or legacy tuple.
+        """One reply record from worker ``w``.
 
         Every fault signal lands here — pipe EOF, step timeout, CRC
         mismatch — and flows into :meth:`_recover_worker`, which either
@@ -785,11 +665,8 @@ class ProcessVectorEnv(BaseVectorEnv):
         """
         while True:
             if self._local[w] is not None:
-                cmd, legacy = self._inflight[w]
-                executor = self._local[w]
-                body = (executor.handle_legacy(cmd) if legacy
-                        else executor.handle(cmd))
-                return self._finish_reply(body)
+                return self._finish_reply(
+                    self._local[w].handle(self._inflight[w]))
             conn = self._conns[w]
             config = self._sup.config
             timeout = config.step_timeout if config.enabled else None
@@ -809,35 +686,14 @@ class ProcessVectorEnv(BaseVectorEnv):
                     self._sup.stats["corrupt_frames"] += 1
                     self._recover_worker(w, str(exc))
                     continue
-            if raw[0] == vt.ST_SHM and len(raw) == 1:
-                body = self._read_slot(w)
-                if self._frame_check:
-                    try:
-                        body = vt.open_frame(body)
-                    except vt.FrameError as exc:
-                        self._sup.stats["corrupt_frames"] += 1
-                        self._recover_worker(w, str(exc))
-                        continue
-            else:
-                body = raw
-            return self._finish_reply(body)
+            return self._finish_reply(raw)
 
     @staticmethod
     def _finish_reply(body):
-        """Shared reply postprocessing: application errors and the
-        legacy pickled fallback (which, under frame checking, may even
-        arrive through the shm slab)."""
-        if isinstance(body, tuple):  # a degraded executor's legacy reply
-            return body
-        first = body[0]
-        if first == vt.ST_ERR:
+        """Raise a worker's application error; pass any other reply on."""
+        if body[0] == vt.ST_ERR:
             raise RuntimeError(
                 f"VectorEnv worker failed: {vt.decode_error(body)}")
-        if first == vt.PICKLE_PROTO:
-            reply = pickle.loads(body)
-            if reply[0] == "error":
-                raise RuntimeError(f"VectorEnv worker failed: {reply[1]}")
-            return reply
         return body
 
     # -- fault recovery ------------------------------------------------
@@ -918,18 +774,12 @@ class ProcessVectorEnv(BaseVectorEnv):
             self._check_dims(vt.Dims(*dims))
         except RuntimeError as exc:
             raise _RespawnError(str(exc)) from exc
-        states = self._sup.restore_states(lo, hi)
-        try:
-            restore_cmd, legacy = vt.encode_restore_cmd(states), False
-        except vt.EncodeError:
-            # journaled actions the wire format cannot express: pickle
-            restore_cmd, legacy = ("restore", states), True
+        # every journaled action already crossed the wire once, so the
+        # restore command always encodes
+        restore_cmd = vt.encode_restore_cmd(self._sup.restore_states(lo, hi))
         conn = self._conns[w]
         try:
-            if legacy:
-                conn.send(restore_cmd)
-            else:
-                conn.send_bytes(restore_cmd)
+            conn.send_bytes(restore_cmd)
             raw = conn.recv_bytes()
         except (EOFError, OSError) as exc:
             raise _RespawnError(
@@ -942,12 +792,8 @@ class ProcessVectorEnv(BaseVectorEnv):
         if raw[0] == vt.ST_ERR:
             raise _RespawnError(f"restore failed: {vt.decode_error(raw)}")
         if self._inflight[w] is not None:
-            cmd, cmd_legacy = self._inflight[w]
             try:
-                if cmd_legacy:
-                    conn.send(cmd)
-                else:
-                    conn.send_bytes(cmd)
+                conn.send_bytes(self._inflight[w])
             except (BrokenPipeError, OSError) as exc:
                 raise _RespawnError(
                     f"died re-sending command ({type(exc).__name__})"
@@ -981,13 +827,11 @@ class ProcessVectorEnv(BaseVectorEnv):
         respawn)."""
         lo, hi = self._bounds[w]
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        worker_spec = (None if self._shm_base is None
-                       else {**self._shm_base, "worker_index": w})
         proc = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self._payload, lo, hi, self.num_envs,
                   self._sup.base_seed, self._auto_reset, self._record_truth,
-                  worker_spec, w, len(self._bounds), self._frame_check),
+                  w, len(self._bounds), self._frame_check),
             daemon=True,
         )
         proc.start()
@@ -1029,22 +873,22 @@ class ProcessVectorEnv(BaseVectorEnv):
         return obs
 
     def step(self, actions=None, mask: Sequence[bool] | None = None) -> VecStep:
-        actions = self._split_actions(actions)
+        actions = [_materialize(a) for a in self._split_actions(actions)]
         if mask is not None:
             mask = list(mask)
             if len(mask) != self.num_envs:
                 raise ValueError(
                     f"expected {self.num_envs} mask entries, got {len(mask)}"
                 )
-        for w, (lo, hi) in enumerate(self._bounds):
-            group_mask = None if mask is None else mask[lo:hi]
-            try:
-                self._dispatch(w, vt.encode_step_cmd(actions[lo:hi],
-                                                     group_mask))
-            except vt.EncodeError:
-                # exotic action payload: pickle this one command
-                self._dispatch(w, ("step", actions[lo:hi], group_mask),
-                               legacy=True)
+        # encode every group before sending any, so an unencodable
+        # action raises with no worker left holding a command
+        cmds = [
+            vt.encode_step_cmd(actions[lo:hi],
+                               None if mask is None else mask[lo:hi])
+            for lo, hi in self._bounds
+        ]
+        for w, cmd in enumerate(cmds):
+            self._dispatch(w, cmd)
         result = self._collect_step()
         self._sup.note_step(actions, mask, result.dones, self._auto_reset)
         return result
@@ -1056,14 +900,10 @@ class ProcessVectorEnv(BaseVectorEnv):
         rewards = np.empty(self.num_envs)
         dones = np.empty(self.num_envs, dtype=bool)
         for reply, (lo, hi) in zip(replies, self._bounds):
-            if isinstance(reply, tuple):  # legacy pickled fallback
-                _, obs, rew, done, info, reset_infos = reply
-                self.reset_infos[lo:hi] = reset_infos
-            else:
-                obs, rew, done, info, changed = vt.decode_step_reply(
-                    reply, hi - lo, self._dims)
-                for local_i, reset_info in changed:
-                    self.reset_infos[lo + local_i] = reset_info
+            obs, rew, done, info, changed = vt.decode_step_reply(
+                reply, hi - lo, self._dims)
+            for local_i, reset_info in changed:
+                self.reset_infos[lo + local_i] = reset_info
             observations.extend(obs)
             infos.extend(info)
             rewards[lo:hi] = rew
@@ -1073,12 +913,10 @@ class ProcessVectorEnv(BaseVectorEnv):
     def action_masks(self) -> np.ndarray:
         for w in range(len(self._bounds)):
             self._dispatch(w, _MASKS_CMD)
-        rows = []
-        for reply, (lo, hi) in zip(self._recv_group(), self._bounds):
-            if isinstance(reply, tuple):
-                rows.append(reply[1])
-            else:
-                rows.append(vt.decode_masks_reply(reply, hi - lo, self._dims))
+        rows = [
+            vt.decode_masks_reply(reply, hi - lo, self._dims)
+            for reply, (lo, hi) in zip(self._recv_group(), self._bounds)
+        ]
         return np.concatenate(rows, axis=0)
 
     # -- persistent-pool interface -------------------------------------
@@ -1129,7 +967,7 @@ class ProcessVectorEnv(BaseVectorEnv):
         if self._lane_specs is None:
             raise ValueError(
                 "rebuild_lane needs a spec-built vector env "
-                "(from_spec/from_specs); this one was built from a raw config"
+                "(from_specs); this one was built from a raw config"
             )
         w, local = self._worker_of(i)
         body = json.dumps(
@@ -1176,8 +1014,7 @@ class ProcessVectorEnv(BaseVectorEnv):
     def close(self) -> None:
         """Release the env; a pool-owned env is only *released*.
 
-        For a standalone env this terminates the workers and unlinks
-        any shared-memory segments. For an env handed out by a
+        For a standalone env this terminates the workers. For an env handed out by a
         :class:`VecPool` it is a soft release -- the lease returns to
         the pool, the workers stay alive for the next ``acquire``, and
         the pool's own ``close()`` performs the real teardown.
@@ -1232,7 +1069,6 @@ class ProcessVectorEnv(BaseVectorEnv):
                         proc.kill()
                         proc.join(timeout=1.0)
         finally:
-            self._teardown_shm()
             self._local = [None] * len(self._bounds)
 
     def __del__(self):  # pragma: no cover - best-effort cleanup
@@ -1242,57 +1078,6 @@ class ProcessVectorEnv(BaseVectorEnv):
             pass
 
 
-class ShmVectorEnv(ProcessVectorEnv):
-    """Process backend whose replies travel through shared memory.
-
-    Every worker owns a fixed slot in one preallocated
-    ``multiprocessing.shared_memory`` slab and parks its encoded reply
-    record there (observations, rewards, dones, structured infos,
-    masks); the pipe then carries a single acknowledgement byte, which
-    doubles as the write barrier. The parent decodes straight out of
-    the slab into fresh objects, so callers may hold onto results
-    across steps. Records larger than the slot (pathological alert
-    floods) spill over to the pipe transparently.
-
-    The parent is the single owner of the slab: it is unlinked from
-    every teardown path (``close()``, constructor failure, worker
-    crash, finalizer), so no ``/dev/shm`` residue survives the env.
-    """
-
-    _uses_shm = True
-
-    def _setup_shm(self, slot_bytes: int) -> dict:
-        from multiprocessing import shared_memory
-
-        if slot_bytes < 4096:
-            raise ValueError("slot_bytes must be at least 4096")
-        self._slot_bytes = slot_bytes
-        self._slab = shared_memory.SharedMemory(
-            create=True, size=len(self._bounds) * slot_bytes)
-        return {"name": self._slab.name, "slot_bytes": slot_bytes}
-
-    def _teardown_shm(self) -> None:
-        slab = getattr(self, "_slab", None)
-        if slab is None:
-            return
-        self._slab = None
-        try:
-            slab.close()
-        finally:
-            try:
-                slab.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-
-    def _read_slot(self, worker_index: int):
-        buf = self._slab.buf
-        lo = worker_index * self._slot_bytes
-        (length,) = vt._U32.unpack_from(buf, lo)
-        # decoding copies every field out of the slab (frombuffer +
-        # astype/copy), so handing out a transient view is safe
-        return memoryview(buf)[lo + 4:lo + 4 + length]
-
-
 # ----------------------------------------------------------------------
 # persistent pools
 # ----------------------------------------------------------------------
@@ -1300,9 +1085,9 @@ class VecPool:
     """A cache of live worker-pool vector envs, re-laned instead of
     re-spawned.
 
-    :meth:`acquire` hands out a :class:`ProcessVectorEnv` /
-    :class:`ShmVectorEnv` for a batch of scenario specs. When a live
-    pool with the same geometry (backend, lane count, worker count)
+    :meth:`acquire` hands out a :class:`ProcessVectorEnv` for a batch
+    of scenario specs. When a live pool with the same geometry (lane
+    count, worker count)
     already exists, its workers are re-laned onto the new specs --
     bit-identical to a fresh construction, without paying process
     startup -- otherwise a new pool is spawned and cached. Envs handed
@@ -1345,9 +1130,9 @@ class VecPool:
                 auto_reset: bool = True, record_truth: bool = True,
                 start_method: str | None = None) -> ProcessVectorEnv:
         """A ready vector env over ``specs``, reusing live workers."""
-        if backend not in ("process", "shm"):
+        if backend != "process":
             raise ValueError(
-                f"VecPool backs worker-pool backends, not {backend!r}"
+                f"VecPool backs the process backend, not {backend!r}"
             )
         specs = list(specs)
         if not specs:
@@ -1355,8 +1140,7 @@ class VecPool:
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot acquire from a closed VecPool")
-            key = (backend, len(specs), num_workers, record_truth,
-                   start_method)
+            key = (len(specs), num_workers, record_truth, start_method)
             venv = self._pools.get(key)
             if venv is not None and not venv._closed:
                 try:
@@ -1368,8 +1152,7 @@ class VecPool:
                 except RuntimeError:
                     # dead or wedged pool; fall through and respawn
                     venv.shutdown()
-            cls = ProcessVectorEnv if backend == "process" else ShmVectorEnv
-            venv = cls.from_specs(
+            venv = ProcessVectorEnv.from_specs(
                 specs, seed=seed, auto_reset=auto_reset,
                 record_truth=record_truth, num_workers=num_workers,
                 start_method=start_method,

@@ -6,15 +6,17 @@ fan-out, the DQN collector, the CLI) drives a vector environment
 instead and amortizes per-step Python overhead over ``num_envs``
 simulations.
 
-Three backends implement one contract (:class:`BaseVectorEnv`):
+Three backends implement one contract (:class:`BaseVectorEnv`), named
+by :data:`repro.sim.vec_backends.BACKENDS` (where ``auto`` means
+``batched``):
 
 * ``sync`` -- :class:`VectorEnv`, every lane stepped in-process (this
   module);
+* ``batched`` -- :class:`~repro.sim.batched_engine.BatchedVectorEnv`,
+  every lane stepped in-process over structure-of-arrays batch state;
 * ``process`` -- :class:`~repro.sim.vec_backends.ProcessVectorEnv`,
-  lanes partitioned across worker processes talking over pipes;
-* ``shm`` -- :class:`~repro.sim.vec_backends.ShmVectorEnv`, the process
-  backend with reward/done/action-mask batches exchanged through
-  ``multiprocessing.shared_memory`` instead of pickle.
+  lanes partitioned across worker processes that exchange binary
+  records (:mod:`repro.sim.vec_transport`) over pipes.
 
 Semantics follow the Gym ``VectorEnv`` contract:
 

@@ -1,7 +1,7 @@
-"""Zero-pickle wire format for the parallel VectorEnv backends.
+"""Zero-pickle wire format for the ``process`` VectorEnv backend.
 
-The process/shm backends move four kinds of payload between the parent
-and its worker processes every lockstep round: action batches going
+The worker pool moves four kinds of payload between the parent and its
+worker processes every lockstep round: action batches going
 down, and observation/reward/done/info batches coming back. Shipping
 those through ``Connection.send`` pickles every ``Alert``, ``Observation``
 and info dict per lane per step — measurable pure overhead on the
@@ -23,9 +23,9 @@ Records reconstruct the exact objects the sync backend returns
 (``Observation`` / ``Alert`` / ``ScanResult`` / ``DefenderAction`` /
 ``RewardBreakdown``), field for field, so backend parity stays
 bit-exact; floats round-trip through fixed-width IEEE doubles, never
-text. Anything the format cannot express raises :class:`EncodeError`,
-and the backends fall back to the legacy pickled pipe protocol for that
-one message — correctness never depends on the fast path.
+text. Anything the format cannot express raises :class:`EncodeError`;
+there is no second encoding, so such a payload fails loudly instead of
+travelling some other way.
 
 The byte layout is deliberately self-contained: the only shared context
 is a :class:`Dims` tuple (action/node/PLC/condition counts) exchanged
@@ -59,13 +59,9 @@ __all__ = [
     "OP_RESTORE",
     "ST_OK",
     "ST_ERR",
-    "ST_SHM",
-    "PICKLE_PROTO",
     "RESTORE_VIRGIN",
     "RESTORE_RESET",
     "RESTORE_REBUILT",
-    "INFO_SCALAR_FIELDS",
-    "BREAKDOWN_FIELDS",
     "dims_of",
     "seal_frame",
     "open_frame",
@@ -91,9 +87,7 @@ __all__ = [
     "decode_error",
 ]
 
-# command opcodes (parent -> worker). Pickled streams always begin with
-# the PROTO opcode 0x80, so any first byte >= 0x90 unambiguously marks a
-# binary message and lets the worker keep a pickle fallback path.
+# command opcodes (parent -> worker)
 OP_STEP = 0x90
 OP_MASKS = 0x91
 OP_RESET = 0x92
@@ -106,10 +100,6 @@ OP_RESTORE = 0x97  # deterministic lane recovery after a worker respawn
 # reply status bytes (worker -> parent)
 ST_OK = 0xA0  # payload follows inline
 ST_ERR = 0xA1  # utf-8 error message follows
-ST_SHM = 0xA2  # payload is in the worker's shared-memory slot
-
-#: first byte of every pickle stream (protocol >= 2)
-PICKLE_PROTO = 0x80
 
 _SOURCES = tuple(AlertSource)
 _SOURCE_INDEX = {source: i for i, source in enumerate(_SOURCES)}
@@ -122,27 +112,9 @@ _F64 = struct.Struct("<d")
 _ALERT = struct.Struct("<qqqBB")  # t, node_id, device_id, severity, source
 _SCAN = struct.Struct("<qqBb")  # t, node_id, detected, action_type
 _ACTION = struct.Struct("<bq")  # atype index, target (-1 = None)
-_INFO_FIXED = struct.Struct("<qd6q5d")  # t, it_cost, tallies, breakdown
-
-#: the scalar step-info fields of ``_INFO_FIXED``, in pack order
-#: (``t`` is ``<q``, ``it_cost`` ``<d``, the six tallies ``<q``). The
-#: trace store (:mod:`repro.validation.tracestore`) builds its columnar
-#: record schema from these names, so the wire format and the on-disk
-#: log cannot drift apart independently of this module.
-INFO_SCALAR_FIELDS = (
-    "t",
-    "it_cost",
-    "n_compromised",
-    "n_ws_compromised",
-    "n_srv_compromised",
-    "n_plcs_offline",
-    "n_plcs_disrupted",
-    "n_plcs_destroyed",
-)
-
-#: :class:`~repro.sim.reward.RewardBreakdown` fields in ``_INFO_FIXED``
-#: pack order (five ``<d`` doubles); same dual use as above
-BREAKDOWN_FIELDS = ("r_plc", "r_it", "r_term", "total", "it_cost")
+#: t, it_cost, six tallies, breakdown: the field order of
+#: :data:`repro.sim.schema.INFO_SCALAR_FIELDS` + ``BREAKDOWN_FIELDS``
+_INFO_FIXED = struct.Struct("<qd6q5d")
 _RESET_INFO = struct.Struct("<4q")  # t, n_compromised, n_ws, n_srv
 _DIMS = struct.Struct("<4I")
 
@@ -170,9 +142,8 @@ _INFO_KEYS = frozenset(
 class EncodeError(Exception):
     """The payload cannot be expressed in the binary wire format.
 
-    Callers fall back to the legacy pickled pipe protocol for the one
-    message that raised; the fast path stays pickle-free for everything
-    the repo's policies and engine actually produce.
+    The format covers every action and info the repo's policies and
+    engine produce; anything else is an error, not a slower path.
     """
 
 
@@ -346,7 +317,7 @@ def _encode_info(out: bytearray, info: dict[str, Any],
     if extra:
         raise EncodeError(f"info carries unknown keys {sorted(extra)}")
     missing = _REQUIRED_INFO_KEYS - info.keys()
-    if missing:  # e.g. a wrapper that rebuilds infos: take the fallback
+    if missing:  # e.g. a wrapper that rebuilds infos without them
         raise EncodeError(f"info is missing keys {sorted(missing)}")
     out.append(1)
     try:
@@ -513,8 +484,7 @@ def _decode_action_entry(buf, pos: int):
 def encode_step_cmd(actions, mask) -> bytearray:
     """Pack a lane group's actions (+ optional step mask) for a worker.
 
-    On an unencodable action this raises :class:`EncodeError` and the
-    caller falls back to the pickled protocol for this step.
+    Raises :class:`EncodeError` on an unencodable action.
     """
     out = bytearray((OP_STEP,))
     if mask is None:

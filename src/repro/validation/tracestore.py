@@ -21,12 +21,10 @@ Layout on disk (a directory):
   shard file the manifest does not list is a partial flush and is
   ignored by the reader.
 
-The record field names reuse :mod:`repro.sim.vec_transport`'s wire
-layout (``INFO_SCALAR_FIELDS`` / ``BREAKDOWN_FIELDS``), so the
-analyzer's transport-schema checker — which pins the engine's info
-keys to that module — transitively covers the trace schema: an engine
-info field cannot be added without the lint gate forcing the wire
-format, and with it this record layout, to follow.
+The record field names come from :mod:`repro.sim.schema`
+(``INFO_SCALAR_FIELDS`` / ``BREAKDOWN_FIELDS``), the same names, in the
+same order, as the worker wire format's fixed step-info record, so the
+on-disk log and the wire layout follow one list.
 
 The format is deliberately pickle-free (structured scalars and
 subarrays only): a trace file is safe to read from an untrusted
@@ -45,7 +43,7 @@ import numpy as np
 
 from repro.eval.runner import drive_vec_episodes
 from repro.rl.features import FeatureSet
-from repro.sim.vec_transport import BREAKDOWN_FIELDS, INFO_SCALAR_FIELDS
+from repro.sim.schema import BREAKDOWN_FIELDS, INFO_SCALAR_FIELDS
 from repro.validation.logging import LoggedEpisode, decide_batch
 
 __all__ = [

@@ -449,12 +449,13 @@ class TestCleanTree:
         result = run_check(root=PACKAGE_ROOT)
         assert result.ok, "\n" + render("text", result.findings)
 
-    def test_the_one_sanctioned_pickle_import_is_inline_suppressed(self):
+    def test_no_forbidden_import_is_suppressed(self):
         result = run_check(root=PACKAGE_ROOT)
-        suppressed = {
-            (f.rule, f.path) for f, _ in result.suppressed
-        }
-        assert ("forbidden-import", "sim/vec_backends.py") in suppressed
+        suppressed = [
+            (f.path, f.line) for f, _ in result.suppressed
+            if f.rule == "forbidden-import"
+        ]
+        assert suppressed == []
 
     def test_policy_default_covers_all_catalog_rules(self):
         from repro.analysis.policy import RULE_CATALOG

@@ -175,6 +175,24 @@ class TestServeEndToEnd:
                                   "backend": "sync"})["job_id"], timeout=120)
         assert single["metrics"] == vec["metrics"]
 
+    def test_every_backend_serves_identical_metrics(self, server):
+        """Multi-lane jobs on sync, batched, auto and process all build
+        through repro.make_vec and return the same metrics."""
+        argv = {"kind": "evaluate", "scenario": TINY, "policy": "playbook",
+                "episodes": 3, "seed": 5, "max_steps": 25, "num_envs": 2,
+                "num_workers": 2}
+        metrics = {}
+        for backend in ("sync", "batched", "auto", "process"):
+            done = server.client.wait(
+                server.client.submit({**argv, "backend": backend})["job_id"],
+                timeout=120)
+            assert done["status"] == "done", done["error"]
+            metrics[backend] = done["metrics"]
+        for backend in ("batched", "auto", "process"):
+            assert metrics[backend] == metrics["sync"], backend
+        # only the process job drew from the shared pool
+        assert server.client.health()["pool"]["spawns"] == 1
+
     def test_selfplay_job(self, server):
         job = server.client.submit({
             "kind": "selfplay", "scenario": TINY, "policy": "playbook",

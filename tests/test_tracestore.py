@@ -15,7 +15,7 @@ import pytest
 import repro
 from repro.rl import AttentionQNetwork, QNetConfig
 from repro.rl.features import FeatureSet
-from repro.sim.vec_transport import BREAKDOWN_FIELDS, INFO_SCALAR_FIELDS
+from repro.sim.schema import BREAKDOWN_FIELDS, INFO_SCALAR_FIELDS
 from repro.validation import (
     LoggedEpisode,
     LoggedStep,

@@ -2,7 +2,7 @@
 
 The core guarantee of the backend abstraction: the same scenario and
 seed produce bit-identical observation/reward/done trajectories on
-every backend (``sync`` / ``process`` / ``shm``). Plus round-trip tests
+every backend (``sync`` / ``batched`` / ``process``). Plus round-trip tests
 for ScenarioSpec JSON (the worker shipping format) and regression tests
 for the vectorized ``sample_actions`` and the ``reset_env`` episode
 accounting.
@@ -26,11 +26,8 @@ from repro.scenarios import (
     spec_to_json,
 )
 from repro.scenarios.registry import REGISTRY
-from repro.sim.vec_backends import (
-    AUTO_MIN_ENVS,
-    ProcessVectorEnv,
-    resolve_backend,
-)
+from repro.sim.batched_engine import BatchedVectorEnv
+from repro.sim.vec_backends import BACKENDS, ProcessVectorEnv, normalize_backend
 from repro.sim.vec_env import VectorEnv
 
 
@@ -72,17 +69,6 @@ class TestBackendParity:
         assert trace_s == trace_p
         np.testing.assert_array_equal(rew_s, rew_p)
         np.testing.assert_array_equal(done_s, done_p)
-
-    @pytest.mark.slow
-    def test_shm_matches_sync(self):
-        sync = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=15)
-        trace_s, rew_s, done_s = _rollout(sync, 25, seed=1)
-        with repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=15,
-                            backend="shm", num_workers=2) as venv:
-            trace_h, rew_h, done_h = _rollout(venv, 25, seed=1)
-        assert trace_s == trace_h
-        np.testing.assert_array_equal(rew_s, rew_h)
-        np.testing.assert_array_equal(done_s, done_h)
 
     @pytest.mark.slow
     def test_parity_spans_auto_reset_boundaries(self):
@@ -248,12 +234,14 @@ class TestFinalObservationWireGuard:
             assert "final_observation" not in info
             assert info["t"] == 5  # the rest of the info is intact
 
-    def test_worker_group_strips_stale_final_in_legacy_fallback(self):
+    def test_unencodable_info_fails_loudly(self):
+        """An info the wire cannot express comes back as a worker error
+        naming the EncodeError -- there is no second encoding."""
+        from repro.sim import vec_transport as vt
         from repro.sim.vec_backends import _LaneGroupExecutor
 
         class _LeakyEnv:
-            """Terminal lane whose info echoes a stale final and an
-            unencodable extra key, forcing the legacy pickled reply."""
+            """A lane whose info carries a key the wire does not know."""
 
             def __init__(self, env):
                 self._env = env
@@ -264,24 +252,19 @@ class TestFinalObservationWireGuard:
 
             def step(self, action):
                 obs, reward, done, info = self._env.step(action)
-                info = dict(info)
-                info["final_observation"] = obs
-                info["unencodable"] = object()
-                return obs, reward, True, info
+                return obs, reward, done, {**info, "unencodable": object()}
 
         env = repro.make("inasim-tiny-v1", seed=0, horizon=10)
-        venv = VectorEnv([_LeakyEnv(env)], auto_reset=False, base_seed=0)
+        venv = VectorEnv([_LeakyEnv(env)], base_seed=0)
         group = _LaneGroupExecutor.__new__(_LaneGroupExecutor)
         group.injector = None
         group.venv = venv
         venv.reset(seed=0)
-        reply = group.do_step(None, None)
-        # the unencodable key forced the pickled tuple path...
-        assert isinstance(reply, tuple) and reply[0] == "ok"
-        infos = reply[4]
-        # ...which must have dropped the stale final all the same
-        assert all("final_observation" not in info for info in infos)
-        assert all("unencodable" in info for info in infos)
+        reply = group.handle(vt.encode_step_cmd([None], None))
+        assert reply[0] == vt.ST_ERR
+        message = vt.decode_error(reply)
+        assert message.startswith("EncodeError: ")
+        assert "unencodable" in message
 
 
 class TestSampleActionsVectorized:
@@ -423,66 +406,38 @@ class TestScenarioSpecSerialization:
 
 
 class TestAutoBackend:
-    """backend="auto" selection logic and trajectory parity."""
+    """backend="auto" means batched, whatever the host or batch."""
 
-    def test_single_core_always_sync(self):
-        for n in (1, 4, 64):
-            assert resolve_backend(n, cpu_count=1) == "sync"
+    def test_auto_resolves_to_batched(self):
+        assert normalize_backend("auto") == "batched"
+        for name in BACKENDS:
+            if name != "auto":
+                assert normalize_backend(name) == name
 
-    def test_narrow_batches_stay_sync(self):
-        for n in range(1, AUTO_MIN_ENVS):
-            assert resolve_backend(n, cpu_count=16) == "sync"
-
-    def test_wide_batch_on_multicore_goes_process(self):
-        assert resolve_backend(AUTO_MIN_ENVS, cpu_count=2) == "process"
-        assert resolve_backend(16, cpu_count=8) == "process"
-
-    def test_single_worker_request_stays_sync(self):
-        assert resolve_backend(16, num_workers=1, cpu_count=8) == "sync"
+    def test_unknown_name_lists_the_backends(self):
+        with pytest.raises(ValueError, match="choose from"):
+            normalize_backend("shm")
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
-            resolve_backend(0, cpu_count=4)
+            repro.make_vec("inasim-tiny-v1", 0, backend="auto")
 
-    def test_defaults_to_os_cpu_count(self, monkeypatch):
+    def test_auto_ignores_cpu_count(self, monkeypatch):
         import repro.sim.vec_backends as vb
 
-        monkeypatch.setattr(vb.os, "cpu_count", lambda: 1)
-        assert resolve_backend(16) == "sync"
-        monkeypatch.setattr(vb.os, "cpu_count", lambda: 8)
-        assert resolve_backend(16) == "process"
-        # os.cpu_count may return None on exotic platforms
-        monkeypatch.setattr(vb.os, "cpu_count", lambda: None)
-        assert resolve_backend(16) == "sync"
+        for cpus in (1, 8, None):
+            monkeypatch.setattr(vb.os, "cpu_count", lambda: cpus)
+            for n in (1, 4, 16):
+                venv = repro.make_vec("inasim-tiny-v1", n, seed=0,
+                                      backend="auto", num_workers=2)
+                assert isinstance(venv, BatchedVectorEnv)
 
-    def test_make_vec_auto_picks_sync_on_one_core(self, monkeypatch):
-        import repro.sim.vec_backends as vb
-
-        monkeypatch.setattr(vb.os, "cpu_count", lambda: 1)
-        venv = repro.make_vec("inasim-tiny-v1", 4, seed=0, backend="auto")
-        with venv:
-            assert isinstance(venv, VectorEnv)
-
-    def test_make_vec_auto_picks_process_on_multicore(self, monkeypatch):
-        import repro.sim.vec_backends as vb
-
-        monkeypatch.setattr(vb.os, "cpu_count", lambda: 4)
-        venv = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=12,
-                              backend="auto", num_workers=2)
-        with venv:
-            assert isinstance(venv, ProcessVectorEnv)
-
-    def test_auto_trajectories_match_sync_bit_exactly(self, monkeypatch):
-        """Whatever auto picks, the trajectories are the sync ones."""
-        import repro.sim.vec_backends as vb
-
+    def test_auto_trajectories_match_sync_bit_exactly(self):
         sync = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=12)
         trace_s, rew_s, done_s = _rollout(sync, 18, seed=2)
-        # force the interesting branch: auto resolves to process
-        monkeypatch.setattr(vb.os, "cpu_count", lambda: 4)
         with repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=12,
-                            backend="auto", num_workers=2) as venv:
-            assert isinstance(venv, ProcessVectorEnv)
+                            backend="auto") as venv:
+            assert isinstance(venv, BatchedVectorEnv)
             trace_a, rew_a, done_a = _rollout(venv, 18, seed=2)
         assert trace_s == trace_a
         np.testing.assert_array_equal(rew_s, rew_a)

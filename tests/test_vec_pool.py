@@ -2,13 +2,12 @@
 
 Four guarantees pinned here:
 
-* the per-step path of the process/shm backends never pickles — a
+* the per-step path of the process backend never pickles — a
   monkeypatched ``pickle.dumps`` / ``ForkingPickler.dumps`` would
   explode if a step, mask query, or reset touched it;
-* pool lifecycle hygiene: no orphaned worker processes and no leaked
-  ``shared_memory`` segments after ``close()``, after an exception
-  mid-generation, after a worker crash, and after repeated
-  ``rebuild_lane`` cycles;
+* pool lifecycle hygiene: no orphaned worker processes after
+  ``close()``, after an exception mid-generation, after a worker
+  crash, and after repeated ``rebuild_lane`` cycles;
 * re-laning a live pool is bit-identical to constructing a fresh
   vector env over the same specs and seed;
 * a multi-generation CEM run on ``backend="process"`` spawns exactly
@@ -17,7 +16,6 @@ Four guarantees pinned here:
 
 import multiprocessing as mp
 import pickle
-from multiprocessing import shared_memory
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -31,7 +29,7 @@ from repro.adversarial import (
 )
 from repro.defenders import PlaybookPolicy
 from repro.sim.orchestrator import DefenderAction, DefenderActionType
-from repro.sim.vec_backends import ProcessVectorEnv, ShmVectorEnv, VecPool
+from repro.sim.vec_backends import ProcessVectorEnv, VecPool
 
 
 def _specs(n, horizon=10, **apt_overrides):
@@ -58,20 +56,11 @@ def _obs_fingerprint(obs):
 
 
 class _WeirdAction:
-    """Not binary-encodable; InasimEnv._coerce treats it as an iterable
-    of zero defender actions (module-level so pickle can reach it)."""
+    """A custom iterable; InasimEnv._coerce treats it as an iterable of
+    zero defender actions."""
 
     def __iter__(self):
         return iter(())
-
-
-def _no_segment(name):
-    try:
-        handle = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return True
-    handle.close()
-    return False
 
 
 def _workers_reaped(venv):
@@ -97,7 +86,7 @@ class _NoPickle:
 
 
 class TestZeroPicklePerStep:
-    @pytest.mark.parametrize("backend", ["process", "shm"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_step_path_never_pickles(self, monkeypatch, backend):
         """Steps, masks, and resets cross the worker boundary without a
         single parent-side pickle call — for every action form the
@@ -119,19 +108,62 @@ class TestZeroPicklePerStep:
                 venv.auto_reset = False
                 venv.step(None, mask=[True, False, True, True])
 
-    def test_exotic_action_falls_back_to_pickle(self):
-        """The legacy pickled protocol still carries what the binary
-        format cannot, with identical results."""
+    def test_exotic_action_crosses_the_binary_wire(self, monkeypatch):
+        """A custom iterable action is listed once and then travels as a
+        binary record, with results identical to sync."""
         sync = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10)
         sync.reset(seed=0)
         with repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
                             backend="process", num_workers=1) as venv:
             venv.reset(seed=0)
             step_s = sync.step([_WeirdAction(), _WeirdAction()])
-            step_p = venv.step([_WeirdAction(), _WeirdAction()])
+            with _NoPickle(monkeypatch):
+                step_p = venv.step([_WeirdAction(), _WeirdAction()])
             np.testing.assert_array_equal(step_s.rewards, step_p.rewards)
 
-    @pytest.mark.parametrize("backend", ["process", "shm"])
+    def test_generator_actions_match_sync(self):
+        """One-shot iterables step on process exactly as on sync."""
+        quarantine = DefenderAction(DefenderActionType.QUARANTINE, 0)
+        reboot = DefenderAction(DefenderActionType.REBOOT, 1)
+
+        def lane_actions(t):
+            return [(a for a in (quarantine,) if t % 3 == 0),
+                    (a for a in (reboot, quarantine) if t % 2),
+                    iter(())]
+
+        sync = repro.make_vec("inasim-tiny-v1", 3, seed=0, horizon=6)
+        sync.reset(seed=0)
+        with repro.make_vec("inasim-tiny-v1", 3, seed=0, horizon=6,
+                            backend="process", num_workers=2) as venv:
+            venv.reset(seed=0)
+            for t in range(10):
+                step_s = sync.step(lane_actions(t))
+                step_p = venv.step(lane_actions(t))
+                np.testing.assert_array_equal(step_s.rewards,
+                                              step_p.rewards)
+                np.testing.assert_array_equal(step_s.dones, step_p.dones)
+                for info_s, info_p in zip(step_s.infos, step_p.infos):
+                    assert info_s["launched"] == info_p["launched"]
+                    assert info_s["reward_breakdown"] \
+                        == info_p["reward_breakdown"]
+                    assert info_s["t"] == info_p["t"]
+
+    def test_unencodable_action_fails_before_any_send(self):
+        """An action the wire cannot express raises EncodeError in the
+        parent before any worker got a command, so the env stays usable."""
+        from repro.sim.vec_transport import EncodeError
+
+        with repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
+                            backend="process", num_workers=2) as venv:
+            venv.reset(seed=0)
+            with pytest.raises(EncodeError, match="unencodable"):
+                venv.step([None, [object()]])
+            ref = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10)
+            ref.reset(seed=0)
+            np.testing.assert_array_equal(venv.step(None).rewards,
+                                          ref.step(None).rewards)
+
+    @pytest.mark.parametrize("backend", ["process"])
     def test_step_infos_match_sync_exactly(self, backend):
         """The structured info record reconstructs every field the sync
         backend reports: tallies, reward breakdown, launched/completed
@@ -164,22 +196,19 @@ class TestZeroPicklePerStep:
 class TestPoolLifecycle:
     def test_close_reaps_workers_and_segments(self):
         venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
-                              backend="shm", num_workers=2)
-        name = venv._slab.name
+                              backend="process", num_workers=2)
         venv.reset(seed=0)
         venv.step(None)
         venv.close()
         venv.close()  # idempotent
         assert _workers_reaped(venv)
-        assert _no_segment(name)
 
     def test_worker_crash_during_reset_recovers_in_place(self):
         """With supervision (the default), a worker killed mid-reset is
-        respawned and the reset completes; close() still unlinks the
-        slab and reaps every worker, respawned ones included."""
+        respawned and the reset completes; close() still reaps every
+        worker, respawned ones included."""
         venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
-                              backend="shm", num_workers=2)
-        name = venv._slab.name
+                              backend="process", num_workers=2)
         try:
             venv._procs[0].kill()
             venv._procs[0].join(timeout=5.0)
@@ -191,16 +220,14 @@ class TestPoolLifecycle:
             venv.close()
         assert venv._closed
         assert _workers_reaped(venv)
-        assert _no_segment(name)
 
     def test_worker_crash_without_supervision_leaves_no_residue(self):
         """Supervision off restores the fail-fast contract: a killed
         worker surfaces as RuntimeError("...died...") and the teardown
-        still unlinks the slab and reaps the remaining workers."""
+        still reaps the remaining workers."""
         venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
-                              backend="shm", num_workers=2)
+                              backend="process", num_workers=2)
         venv.configure_supervision(enabled=False)
-        name = venv._slab.name
         venv._procs[0].kill()
         venv._procs[0].join(timeout=5.0)
         with pytest.raises(RuntimeError, match="died"):
@@ -208,16 +235,15 @@ class TestPoolLifecycle:
                 venv.reset(seed=0)
         assert venv._closed
         assert _workers_reaped(venv)
-        assert _no_segment(name)
 
     def test_constructor_failure_leaves_no_residue(self):
         before = {c.pid for c in mp.active_children()}
         # mixed topologies in one worker slice fail inside the worker,
-        # after the parent already allocated the slab
+        # after the parent already spawned it
         mixed = [repro.get_scenario("inasim-tiny-v1"),
                  repro.get_scenario("inasim-small-v1")]
         with pytest.raises(RuntimeError, match="worker failed"):
-            ShmVectorEnv.from_specs(mixed, num_workers=1)
+            ProcessVectorEnv.from_specs(mixed, num_workers=1)
         leftover = [c for c in mp.active_children() if c.pid not in before]
         for child in leftover:
             child.join(timeout=5.0)
@@ -225,22 +251,20 @@ class TestPoolLifecycle:
 
     def test_pool_close_after_exception_mid_generation(self):
         """An exception inside a pooled evaluation must not orphan
-        workers or leak segments once the pool is closed."""
+        workers once the pool is closed."""
         pool = VecPool()
         before = {c.pid for c in mp.active_children()}
         try:
             with pytest.raises(ValueError, match="boom"):
-                venv = pool.acquire(_specs(3), seed=0, backend="shm",
+                venv = pool.acquire(_specs(3), seed=0, backend="process",
                                     num_workers=2)
                 with venv:
                     venv.reset(seed=0)
                     raise ValueError("boom")
             # the soft release kept the pool alive for the next acquire
             assert pool.stats["live_pools"] == 1
-            name = next(iter(pool._pools.values()))._slab.name
         finally:
             pool.close()
-        assert _no_segment(name)
         leftover = [c for c in mp.active_children() if c.pid not in before]
         assert not leftover
 
@@ -311,33 +335,31 @@ class TestPoolLifecycle:
 
     def test_repeated_rebuild_cycles_leak_nothing(self):
         """50 rebuild_lane calls + 5 relanes on one live pool: same
-        worker pids, same slab, no segment or process accumulation."""
+        worker pids, no process accumulation."""
         pool = VecPool()
         try:
-            venv = pool.acquire(_specs(4), seed=0, backend="shm",
+            venv = pool.acquire(_specs(4), seed=0, backend="process",
                                 num_workers=2)
             pids = [p.pid for p in venv._procs]
-            name = venv._slab.name
             variant = _specs(1, lateral_threshold=1)[0]
             for cycle in range(5):
                 for lane in range(4):
                     venv.rebuild_lane(lane, variant, seed=cycle)
                     venv.rebuild_lane(lane, _specs(1)[0])
-                again = pool.acquire(_specs(4), seed=cycle, backend="shm",
-                                     num_workers=2)
+                again = pool.acquire(_specs(4), seed=cycle,
+                                     backend="process", num_workers=2)
                 assert again is venv
                 assert [p.pid for p in venv._procs] == pids
-                assert venv._slab.name == name
             assert pool.stats == {"spawns": 1, "reuses": 5, "live_pools": 1}
             children = mp.active_children()
             assert len([c for c in children if c.pid in pids]) == 2
         finally:
             pool.close()
-        assert _no_segment(name)
+        assert not [c for c in mp.active_children() if c.pid in pids]
 
 
 class TestRelaneParity:
-    @pytest.mark.parametrize("backend", ["process", "shm"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_relane_matches_fresh_construction(self, backend):
         base = repro.get_scenario("inasim-tiny-v1").with_overrides(horizon=8)
         variant = base.with_overrides(
